@@ -3,6 +3,8 @@
 Every op records itself on a single module-level tape. backward() replays
 the tape once in reverse, accumulating into .grad, then clears the tape.
 Tensors are 0-d scalars, 1-d vectors, or 2-d matrices; nothing higher.
+A whole recurrent layer is one op (recurrent), and callers can record
+their own fused ops with a hand-written backward (fused).
 """
 from __future__ import annotations
 
@@ -205,13 +207,14 @@ def tanh(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
+def _sigmoid(v):
+    """Logistic function, exp taken only of non-positive arguments."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    v = x.values
-    y = np.empty_like(v)
-    pos = v >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    y[~pos] = ev / (1.0 + ev)
+    y = _sigmoid(x.values)
     out = Tensor(y)
 
     def bwd(g):
@@ -228,23 +231,6 @@ def relu(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis: whole vector, or each matrix row."""
-    v = x.values
-    if v.size == 0:
-        raise ValueError(f"softmax on empty input, shape {v.shape}")
-    if v.ndim not in (1, 2):
-        raise ValueError(f"softmax needs a vector or matrix, got shape {v.shape}")
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(s)
-
-    def bwd(g):
-        _accum(x, s * (g - (g * s).sum(axis=-1, keepdims=True)))
-    return _record(out, (x,), bwd)
-
-
 def logsumexp(v: Tensor) -> Tensor:
     """log sum exp of a vector, reduced to a scalar. Stable under shift."""
     x = v.values
@@ -257,20 +243,6 @@ def logsumexp(v: Tensor) -> Tensor:
     def bwd(g):
         _accum(v, g * e)
     return _record(out, (v,), bwd)
-
-
-def logsumexp_rows(m: Tensor) -> Tensor:
-    """Per-row log sum exp of a matrix, one scalar per row."""
-    x = m.values
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ValueError(f"logsumexp_rows needs a matrix with columns, got shape {x.shape}")
-    mx = x.max(axis=1, keepdims=True)
-    out = Tensor((mx + np.log(np.sum(np.exp(x - mx), axis=1, keepdims=True)))[:, 0])
-    sm = np.exp(x - out.values[:, None])
-
-    def bwd(g):
-        _accum(m, g[:, None] * sm)
-    return _record(out, (m,), bwd)
 
 
 def normalize(v: Tensor) -> Tensor:
@@ -336,121 +308,34 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record(out, tuple(parts), bwd)
 
 
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix, one per row."""
-    if not rows:
-        raise ValueError("stack_rows of an empty list")
-    lens = {r.values.shape for r in rows}
-    if any(r.values.ndim != 1 for r in rows) or len(lens) != 1:
-        raise ValueError(f"stack_rows needs equal-length vectors, got {[r.values.shape for r in rows]}")
-    out = Tensor(np.stack([r.values for r in rows]))
+def index(t: Tensor, key) -> Tensor:
+    """t[key] for an integer, a slice, an integer array, or a tuple of
+    those, one per axis. An integer array gathers rows (or, paired with a
+    second array, elements). Negative and out-of-range indices raise
+    IndexError. The backward scatter-adds, so repeated indices accumulate.
+    """
+    shape = t.values.shape
+    keys = key if isinstance(key, tuple) else (key,)
+    if len(keys) > len(shape):
+        raise IndexError(f"{len(keys)} indices for shape {shape}")
+    for k, n in zip(keys, shape):
+        if isinstance(k, slice):
+            bad = k.step not in (None, 1) or any(
+                v is not None and not 0 <= v <= n for v in (k.start, k.stop))
+        else:
+            k = np.asarray(k)
+            bad = k.dtype.kind not in "iu" or (
+                k.size > 0 and not 0 <= k.min() <= k.max() < n)
+        if bad:
+            raise IndexError(f"index {key!r} out of range for shape {shape}")
+    out = Tensor(t.values[key])
 
     def bwd(g):
-        for i, r in enumerate(rows):
-            _accum(r, g[i])
-    return _record(out, tuple(rows), bwd)
-
-
-def transpose(m: Tensor) -> Tensor:
-    if m.values.ndim != 2:
-        raise ValueError(f"transpose needs a matrix, got shape {m.values.shape}")
-    out = Tensor(m.values.T)
-
-    def bwd(g):
-        _accum(m, g.T)
-    return _record(out, (m,), bwd)
-
-
-def get_row(m: Tensor, i: int) -> Tensor:
-    if m.values.ndim != 2:
-        raise ValueError(f"get_row needs a matrix, got shape {m.values.shape}")
-    if not 0 <= i < m.values.shape[0]:
-        raise IndexError(f"row {i} out of range for shape {m.values.shape}")
-    out = Tensor(m.values[i])
-
-    def bwd(g):
-        if m.requires_grad:
-            if m.grad is None:
-                m.grad = np.zeros_like(m.values)
-            m.grad[i] += g
-    return _record(out, (m,), bwd)
-
-
-def get_col(m: Tensor, j: int) -> Tensor:
-    if m.values.ndim != 2:
-        raise ValueError(f"get_col needs a matrix, got shape {m.values.shape}")
-    if not 0 <= j < m.values.shape[1]:
-        raise IndexError(f"column {j} out of range for shape {m.values.shape}")
-    out = Tensor(m.values[:, j])
-
-    def bwd(g):
-        if m.requires_grad:
-            if m.grad is None:
-                m.grad = np.zeros_like(m.values)
-            m.grad[:, j] += g
-    return _record(out, (m,), bwd)
-
-
-def get_item(v: Tensor, i: int) -> Tensor:
-    if v.values.ndim != 1:
-        raise ValueError(f"get_item needs a vector, got shape {v.values.shape}")
-    if not 0 <= i < v.values.shape[0]:
-        raise IndexError(f"index {i} out of range for shape {v.values.shape}")
-    out = Tensor(v.values[i])
-
-    def bwd(g):
-        if v.requires_grad:
-            if v.grad is None:
-                v.grad = np.zeros_like(v.values)
-            v.grad[i] += g
-    return _record(out, (v,), bwd)
-
-
-def get_elem(m: Tensor, i: int, j: int) -> Tensor:
-    if m.values.ndim != 2:
-        raise ValueError(f"get_elem needs a matrix, got shape {m.values.shape}")
-    rows, cols = m.values.shape
-    if not (0 <= i < rows and 0 <= j < cols):
-        raise IndexError(f"element ({i}, {j}) out of range for shape {m.values.shape}")
-    out = Tensor(m.values[i, j])
-
-    def bwd(g):
-        if m.requires_grad:
-            if m.grad is None:
-                m.grad = np.zeros_like(m.values)
-            m.grad[i, j] += g
-    return _record(out, (m,), bwd)
-
-
-def slice_vec(v: Tensor, start: int, stop: int) -> Tensor:
-    if v.values.ndim != 1:
-        raise ValueError(f"slice_vec needs a vector, got shape {v.values.shape}")
-    if not 0 <= start <= stop <= v.values.shape[0]:
-        raise IndexError(f"slice [{start}:{stop}] out of range for shape {v.values.shape}")
-    out = Tensor(v.values[start:stop])
-
-    def bwd(g):
-        if v.requires_grad:
-            if v.grad is None:
-                v.grad = np.zeros_like(v.values)
-            v.grad[start:stop] += g
-    return _record(out, (v,), bwd)
-
-
-def submat(m: Tensor, r0: int, r1: int, c0: int, c1: int) -> Tensor:
-    if m.values.ndim != 2:
-        raise ValueError(f"submat needs a matrix, got shape {m.values.shape}")
-    rows, cols = m.values.shape
-    if not (0 <= r0 <= r1 <= rows and 0 <= c0 <= c1 <= cols):
-        raise IndexError(f"submat [{r0}:{r1}, {c0}:{c1}] out of range for shape {m.values.shape}")
-    out = Tensor(m.values[r0:r1, c0:c1])
-
-    def bwd(g):
-        if m.requires_grad:
-            if m.grad is None:
-                m.grad = np.zeros_like(m.values)
-            m.grad[r0:r1, c0:c1] += g
-    return _record(out, (m,), bwd)
+        if t.requires_grad:
+            if t.grad is None:
+                t.grad = np.zeros_like(t.values)
+            np.add.at(t.grad, key, g)
+    return _record(out, (t,), bwd)
 
 
 def mean_rows(m: Tensor) -> Tensor:
@@ -472,3 +357,99 @@ def tsum(x: Tensor) -> Tensor:
     def bwd(g):
         _accum(x, np.broadcast_to(g, x.values.shape))
     return _record(out, (x,), bwd)
+
+
+# ------------------------------------------------------------ sequence ops
+
+def _previous(states: np.ndarray, reverse: bool) -> np.ndarray:
+    """The state each step of a scan started from; zeros before the first."""
+    zero = np.zeros((1, states.shape[1]))
+    return np.concatenate((states[1:], zero) if reverse else (zero, states[:-1]))
+
+
+def recurrent(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
+              cell: str = "tanh", reverse: bool = False) -> Tensor:
+    """A recurrent layer over the rows of x, recorded as one tape entry.
+
+    The input projection x @ w_x.T + b is one matrix product over every
+    timestep; only w_h @ h runs step by step. The tanh cell is
+    h = tanh(z). The lstm cell packs z in row blocks [input, forget, cell,
+    output], each `hidden` wide. reverse scans from the last row to the
+    first. Row t of the (T, hidden) output is the state after reading row
+    t of x, in either direction. The backward is backpropagation through
+    time, written out by hand.
+    """
+    if cell not in ("tanh", "lstm"):
+        raise ValueError(f"unknown recurrent cell {cell!r}")
+    xv, wx, wh, bv = x.values, w_x.values, w_h.values, b.values
+    hd = wh.shape[1] if wh.ndim == 2 else 0   # hidden width
+    width = (4 if cell == "lstm" else 1) * hd
+    if (xv.ndim != 2 or xv.shape[0] == 0 or wx.shape != (width, xv.shape[1])
+            or wh.shape != (width, hd) or bv.shape != (width,)):
+        raise ValueError(f"recurrent shape mismatch for a {cell} cell: x {xv.shape}, "
+                         f"w_x {wx.shape}, w_h {wh.shape}, b {bv.shape}")
+    t_len = xv.shape[0]
+    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    pre = xv @ wx.T + bv
+    hs = np.empty((t_len, hd))
+    h = np.zeros(hd)
+    if cell == "tanh":
+        for t in steps:
+            hs[t] = h = np.tanh(pre[t] + wh @ h)
+    else:
+        gate = slice(2 * hd, 3 * hd)
+        acts = np.empty_like(pre)      # i, f, g, o activations per step
+        cs = np.empty((t_len, hd))
+        tcs = np.empty((t_len, hd))    # tanh(c)
+        c = np.zeros(hd)
+        for t in steps:
+            z = pre[t] + wh @ h
+            a = _sigmoid(z)
+            a[gate] = np.tanh(z[gate])
+            c = a[hd:2 * hd] * c + a[:hd] * a[gate]
+            tc = np.tanh(c)
+            h = a[3 * hd:] * tc
+            acts[t], cs[t], tcs[t], hs[t] = a, c, tc, h
+
+    def bwd(g):
+        dpre = np.empty_like(pre)
+        dh = np.zeros(hd)
+        if cell == "tanh":
+            dact = 1.0 - hs * hs
+            for t in reversed(steps):
+                dpre[t] = dz = (g[t] + dh) * dact[t]
+                dh = dz @ wh
+        else:
+            dact = acts * (1.0 - acts)
+            dact[:, gate] = 1.0 - acts[:, gate] ** 2
+            dc_dh = acts[:, 3 * hd:] * (1.0 - tcs * tcs)
+            c_prev = _previous(cs, reverse)
+            dc = np.zeros(hd)
+            for t in reversed(steps):
+                a, dz = acts[t], dpre[t]
+                dht = g[t] + dh
+                dc = dht * dc_dh[t] + dc
+                dz[:hd] = dc * a[gate]
+                dz[hd:2 * hd] = dc * c_prev[t]
+                dz[gate] = dc * a[:hd]
+                dz[3 * hd:] = dht * tcs[t]
+                dz *= dact[t]
+                dc = dc * a[hd:2 * hd]
+                dh = dz @ wh
+        _accum(x, dpre @ wx)
+        _accum(w_x, dpre.T @ xv)
+        _accum(w_h, dpre.T @ _previous(hs, reverse))
+        _accum(b, dpre.sum(axis=0))
+    return _record(Tensor(hs), (x, w_x, w_h, b), bwd)
+
+
+def fused(values, inputs: Sequence[Tensor], grads) -> Tensor:
+    """An op computed outside this module, recorded as one tape entry.
+
+    grads(g) maps the output gradient to one gradient per input, in
+    order. It runs only when the output is reachable from the loss.
+    """
+    def bwd(g):
+        for t, gt in zip(inputs, grads(g)):
+            _accum(t, gt)
+    return _record(Tensor(values), tuple(inputs), bwd)

@@ -290,6 +290,12 @@ def _cmd_train_ner(ns) -> int:
     return 0
 
 
+# every parameter predict reads
+_TAGGER_PARAMS = ["enc.embed", "emit.w", "crf.trans"] + [
+    f"{key}.{part}" for key in ("enc.fwd", "enc.bwd", "lstm.f", "lstm.b")
+    for part in ("w_x", "w_h", "b")]
+
+
 def _load_tag_list(model_path) -> list:
     try:
         with open(str(model_path) + ".tags", encoding="utf-8") as f:
@@ -304,6 +310,8 @@ def _load_tag_list(model_path) -> list:
 def _cmd_predict(ns) -> int:
     _require(ns, "model", "test", "out")
     store = _load_checkpoint(ns.model)
+    if missing := [name for name in _TAGGER_PARAMS if name not in store]:
+        raise DataError(f"checkpoint lacks {', '.join(missing)}", path=ns.model)
     vocab = _sidecar_vocab(ns.model)
     tag_list = _load_tag_list(ns.model)
     sentences = corpus.parse_conll(ns.test)
@@ -385,10 +393,7 @@ def run(argv=None) -> int:
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)
         return 1
-    except DataError as e:
-        print(f"error: data: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (DataError, FileNotFoundError, UnicodeDecodeError) as e:
         print(f"error: data: {e}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as e:

@@ -11,7 +11,6 @@ The queue rotates by one after each pair: eldest out, current key in.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -80,33 +79,34 @@ def similarity(a: ad.Tensor, b: ad.Tensor, raw: bool = False) -> ad.Tensor:
 
 
 class NegativeQueue:
-    """FIFO of past key vectors, fixed size, oldest first."""
+    """FIFO of past key vectors, fixed size, oldest first.
+
+    A ring buffer: one preallocated (size, dim) array and the row index of
+    the eldest entry.
+    """
 
     def __init__(self, size: int, dim: int, rng: np.random.Generator):
         if size < 1:
             raise ValueError(f"queue size must be >= 1, got {size}")
         self.size = size
         self.dim = dim
-        self._q = deque(rng.standard_normal((size, dim)))
+        self._rows = rng.standard_normal((size, dim))
+        self._head = 0
 
     def __len__(self):
-        return len(self._q)
+        return self.size
 
     def rotate(self, key: np.ndarray):
         """Dequeue the eldest vector, enqueue a copy of the new key."""
         key = np.asarray(key, dtype=np.float64)
         if key.shape != (self.dim,):
             raise ValueError(f"key shape {key.shape} does not match queue dim {self.dim}")
-        self._q.popleft()
-        self._q.append(key.copy())
-        assert len(self._q) == self.size
+        self._rows[self._head] = key
+        self._head = (self._head + 1) % self.size
 
     def as_matrix(self) -> np.ndarray:
-        return np.stack(list(self._q))
-
-
-def enqueue_dequeue(queue: NegativeQueue, key: np.ndarray):
-    queue.rotate(key)
+        """A fresh (size, dim) array, eldest row first."""
+        return np.concatenate((self._rows[self._head:], self._rows[:self._head]))
 
 
 def build_msim(pos: ad.Tensor, queue: NegativeQueue, anchor: ad.Tensor,
@@ -134,7 +134,7 @@ def info_nce(m: ad.Tensor, tau: float) -> ad.Tensor:
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     s = ad.scale(m, 1.0 / tau)
-    return ad.sub(ad.logsumexp(s), ad.get_item(s, 0))
+    return ad.sub(ad.logsumexp(s), ad.index(s, 0))
 
 
 def train_wcl(pairs: Sequence[SentencePair], vocab: enc.Vocab,
@@ -173,7 +173,7 @@ def train_wcl(pairs: Sequence[SentencePair], vocab: enc.Vocab,
                     pos_key = ad.normalize(pos_key)
             pos = ad.dot(anchor, pos_key)
             msim = build_msim(pos, queue, anchor, raw=config.raw_dot)
-            enqueue_dequeue(queue, pos_key.values)
+            queue.rotate(pos_key.values)
             loss = info_nce(msim, config.temperature)
             if not np.isfinite(loss.values):
                 raise RuntimeError(

@@ -86,14 +86,14 @@ def output_dim(store: ParamStore, prefix: str = "enc.") -> int:
     return 2 * store[prefix + "fwd.w_x"].values.shape[0]
 
 
-def _run_direction(store: ParamStore, key: str, xs):
-    w_x, w_h, b = store[key + ".w_x"], store[key + ".w_h"], store[key + ".b"]
-    h = ad.constant(np.zeros(w_h.values.shape[0]))
-    states = []
-    for x in xs:
-        h = ad.tanh(ad.add(ad.add(ad.matmul(w_x, x), ad.matmul(w_h, h)), b))
-        states.append(h)
-    return states
+def bidirectional(store: ParamStore, x: ad.Tensor, fwd_key: str, bwd_key: str,
+                  cell: str = "tanh") -> ad.Tensor:
+    """Recurrent states over the rows of x, (T, 2*hidden): a forward scan
+    with the weights under fwd_key beside a reversed scan under bwd_key."""
+    fwd, bwd = (ad.recurrent(x, store[k + ".w_x"], store[k + ".w_h"], store[k + ".b"],
+                             cell, reverse=rev)
+                for k, rev in ((fwd_key, False), (bwd_key, True)))
+    return ad.concat([fwd, bwd], axis=1)
 
 
 def encode(store: ParamStore, vocab: Vocab, tokens: Sequence[str],
@@ -104,11 +104,9 @@ def encode(store: ParamStore, vocab: Vocab, tokens: Sequence[str],
     """
     if not tokens:
         raise ValueError("encode of an empty sentence")
-    embed = store[prefix + "embed"]
-    xs = [ad.get_row(embed, vocab.id_of(t)) for t in tokens]
-    fwd = _run_direction(store, prefix + "fwd", xs)
-    bwd = list(reversed(_run_direction(store, prefix + "bwd", list(reversed(xs)))))
-    return ad.stack_rows([ad.concat([f, b]) for f, b in zip(fwd, bwd)])
+    ids = np.array([vocab.id_of(t) for t in tokens])
+    x = ad.index(store[prefix + "embed"], ids)
+    return bidirectional(store, x, prefix + "fwd", prefix + "bwd")
 
 
 def pool(output: ad.Tensor) -> ad.Tensor:

@@ -6,6 +6,7 @@ each dimension uint32, values as row-major little-endian float64.
 """
 from __future__ import annotations
 
+import math
 import struct
 from typing import Iterable, Iterator, Tuple
 
@@ -71,10 +72,6 @@ class ParamStore:
                 raise ValueError(f"duplicate parameter name: {name}")
             self._params[name] = t
 
-    def zero_grads(self):
-        for t in self._params.values():
-            t.grad = None
-
 
 def sgd_step(stores, lr: float):
     """One descent step p -= lr * grad over every parameter with a grad.
@@ -113,30 +110,36 @@ def save_params(store: ParamStore, path):
 
 
 def load_params(path) -> ParamStore:
-    store = ParamStore()
+    """Read a checkpoint. Any malformed content raises ValueError."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r} in {path}")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != VERSION:
-            raise ValueError(f"unsupported checkpoint version {version} in {path}")
-        while True:
-            head = f.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise ValueError(f"truncated checkpoint {path}")
-            (nlen,) = struct.unpack("<I", head)
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
-            count = 1
-            for d in shape:
-                count *= d
-            buf = f.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError(f"truncated checkpoint {path} at parameter {name}")
-            values = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-            store.add(name, values)
+        data = f.read()
+    if data[:4] != MAGIC:
+        raise ValueError(f"bad checkpoint magic {data[:4]!r} in {path}")
+    pos = 4
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if n > len(data) - pos:
+            raise ValueError(f"truncated checkpoint {path}: {what} needs {n} bytes "
+                             f"at offset {pos}, {len(data) - pos} left")
+        pos += n
+        return data[pos - n:pos]
+
+    def u32(what: str) -> int:
+        return struct.unpack("<I", take(4, what))[0]
+
+    if (version := u32("version")) != VERSION:
+        raise ValueError(f"unsupported checkpoint version {version} in {path}")
+    store = ParamStore()
+    while pos < len(data):
+        raw = take(u32("name length"), "name")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"parameter name {raw!r} is not utf-8 in {path}") from None
+        if (ndim := u32(f"rank of {name}")) > 2:
+            raise ValueError(f"parameter {name} has rank {ndim}, at most 2 allowed, in {path}")
+        shape = tuple(u32(f"shape of {name}") for _ in range(ndim))
+        buf = take(8 * math.prod(shape), f"values of {name}")
+        store.add(name, np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
     return store

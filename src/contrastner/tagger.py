@@ -74,24 +74,6 @@ def init_tagger(store: ParamStore, d_in: int, hidden: int, n_tags: int,
     store.add("crf.trans", rng.normal(0.0, 0.01, (n_tags + 2, n_tags + 2)))
 
 
-def _lstm_direction(store: ParamStore, key: str, xs):
-    w_x, w_h, b = store[key + ".w_x"], store[key + ".w_h"], store[key + ".b"]
-    h_dim = w_h.values.shape[1]
-    h = ad.constant(np.zeros(h_dim))
-    c = ad.constant(np.zeros(h_dim))
-    states = []
-    for x in xs:
-        z = ad.add(ad.add(ad.matmul(w_x, x), ad.matmul(w_h, h)), b)
-        i = ad.sigmoid(ad.slice_vec(z, 0, h_dim))
-        f = ad.sigmoid(ad.slice_vec(z, h_dim, 2 * h_dim))
-        g = ad.tanh(ad.slice_vec(z, 2 * h_dim, 3 * h_dim))
-        o = ad.sigmoid(ad.slice_vec(z, 3 * h_dim, 4 * h_dim))
-        c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
-        states.append(h)
-    return states
-
-
 def bilstm_forward(store: ParamStore, inputs: ad.Tensor) -> ad.Tensor:
     """Per-token features: forward and backward final states, concatenated.
 
@@ -104,10 +86,7 @@ def bilstm_forward(store: ParamStore, inputs: ad.Tensor) -> ad.Tensor:
     if inputs.values.ndim != 2 or inputs.values.shape[0] == 0:
         raise ValueError(f"bilstm_forward needs a (T, d) matrix with T >= 1, "
                          f"got shape {inputs.values.shape}")
-    xs = [ad.get_row(inputs, t) for t in range(inputs.values.shape[0])]
-    fwd = _lstm_direction(store, "lstm.f", xs)
-    bwd = list(reversed(_lstm_direction(store, "lstm.b", list(reversed(xs)))))
-    return ad.stack_rows([ad.concat([f, b]) for f, b in zip(fwd, bwd)])
+    return enc.bidirectional(store, inputs, "lstm.f", "lstm.b", cell="lstm")
 
 
 def emissions(store: ParamStore, feats: ad.Tensor) -> ad.Tensor:
@@ -115,15 +94,26 @@ def emissions(store: ParamStore, feats: ad.Tensor) -> ad.Tensor:
     return ad.matmul(feats, store["emit.w"])
 
 
-def _split_transitions(trans: ad.Tensor, n_tags: int):
-    start = ad.slice_vec(ad.get_row(trans, n_tags), 0, n_tags)
-    stop = ad.slice_vec(ad.get_col(trans, n_tags + 1), 0, n_tags)
-    inner = ad.submat(trans, 0, n_tags, 0, n_tags)
-    return start, stop, inner
+def _logsumexp_rows(s: np.ndarray) -> np.ndarray:
+    m = s.max(axis=1, keepdims=True)
+    return (m + np.log(np.sum(np.exp(s - m), axis=1, keepdims=True)))[:, 0]
+
+
+def _check_crf_shapes(emis: np.ndarray, trans: np.ndarray):
+    if emis.ndim != 2 or emis.shape[0] == 0:
+        raise ValueError(f"emissions must be a (T, K) matrix with T >= 1, got {emis.shape}")
+    n_tags = emis.shape[1]
+    if trans.shape != (n_tags + 2, n_tags + 2):
+        raise ValueError(f"transition shape {trans.shape} does not match "
+                         f"{n_tags} tags (want {(n_tags + 2, n_tags + 2)})")
 
 
 def crf_log_partition(emis: ad.Tensor, trans: ad.Tensor) -> ad.Tensor:
-    """Log of the sum of exp scores over all tag paths (forward algorithm).
+    """Log of the sum of exp scores over all tag paths, as one op.
+
+    The forward is the alpha recursion. The backward runs the beta
+    recursion: the emission gradient is the node marginals, the
+    transition gradient the expected transition counts.
 
     Args:
         emis: (T, K) emission scores.
@@ -132,33 +122,54 @@ def crf_log_partition(emis: ad.Tensor, trans: ad.Tensor) -> ad.Tensor:
     Returns:
         scalar logZ.
     """
-    t_len, n_tags = emis.values.shape
-    if trans.values.shape != (n_tags + 2, n_tags + 2):
-        raise ValueError(f"transition shape {trans.values.shape} does not match "
-                         f"{n_tags} tags (want {(n_tags + 2, n_tags + 2)})")
-    start, stop, inner = _split_transitions(trans, n_tags)
-    alpha = ad.add(ad.get_row(emis, 0), start)
-    inner_t = ad.transpose(inner)  # row j lists arrival scores into tag j
+    e, tr = emis.values, trans.values
+    _check_crf_shapes(e, tr)
+    t_len, n_tags = e.shape
+    start, stop, inner = tr[n_tags, :n_tags], tr[:n_tags, n_tags + 1], tr[:n_tags, :n_tags]
+    alphas = np.empty((t_len, n_tags))  # log-sum of every prefix ending in tag j at t
+    alphas[0] = e[0] + start
     for t in range(1, t_len):
-        alpha = ad.add(ad.get_row(emis, t),
-                       ad.logsumexp_rows(ad.add(inner_t, alpha)))
-    return ad.logsumexp(ad.add(alpha, stop))
+        alphas[t] = e[t] + _logsumexp_rows(inner.T + alphas[t - 1])
+    log_z = _logsumexp_rows((alphas[-1] + stop)[None])[0]
+
+    def grads(g):
+        betas = np.empty((t_len, n_tags))  # log-sum of every suffix after tag i at t
+        betas[-1] = stop
+        for t in range(t_len - 2, -1, -1):
+            betas[t] = _logsumexp_rows(inner + e[t + 1] + betas[t + 1])
+        node = np.exp(alphas + betas - log_z)
+        pair = np.exp(alphas[:-1, :, None] + inner
+                      + (e[1:] + betas[1:])[:, None, :] - log_z).sum(axis=0)
+        d_trans = np.zeros_like(tr)
+        d_trans[n_tags, :n_tags] = node[0]
+        d_trans[:n_tags, n_tags + 1] = node[-1]
+        d_trans[:n_tags, :n_tags] = pair
+        return g * node, g * d_trans
+    return ad.fused(log_z, (emis, trans), grads)
 
 
 def path_score(emis: ad.Tensor, trans: ad.Tensor, tag_ids: Sequence[int]) -> ad.Tensor:
-    """Score of one tag path: start + emissions + transitions + stop."""
-    t_len, n_tags = emis.values.shape
+    """Score of one tag path, as one gather op: start + emissions + transitions + stop."""
+    e, tr = emis.values, trans.values
+    _check_crf_shapes(e, tr)
+    t_len, n_tags = e.shape
     if len(tag_ids) != t_len:
         raise ValueError(f"path length {len(tag_ids)} does not match {t_len} tokens")
     for tid in tag_ids:
         if not 0 <= tid < n_tags:
             raise ValueError(f"tag id {tid} out of range for {n_tags} tags")
-    score = ad.get_elem(trans, n_tags, tag_ids[0])
-    for t, tid in enumerate(tag_ids):
-        score = ad.add(score, ad.get_elem(emis, t, tid))
-        if t + 1 < t_len:
-            score = ad.add(score, ad.get_elem(trans, tid, tag_ids[t + 1]))
-    return ad.add(score, ad.get_elem(trans, tag_ids[-1], n_tags + 1))
+    steps = np.arange(t_len)
+    tags = np.asarray(tag_ids, dtype=np.int64)
+    rows = np.r_[n_tags, tags]          # start -> first tag ... last tag -> stop
+    cols = np.r_[tags, n_tags + 1]
+
+    def grads(g):
+        d_emis = np.zeros_like(e)
+        d_emis[steps, tags] = g
+        d_trans = np.zeros_like(tr)
+        np.add.at(d_trans, (rows, cols), g)
+        return d_emis, d_trans
+    return ad.fused(e[steps, tags].sum() + tr[rows, cols].sum(), (emis, trans), grads)
 
 
 def crf_nll(emis: ad.Tensor, trans: ad.Tensor, tag_ids: Sequence[int]) -> ad.Tensor:
@@ -174,10 +185,8 @@ def viterbi(emis: np.ndarray, trans: np.ndarray) -> TagPath:
     """
     emis = np.asarray(emis, dtype=np.float64)
     trans = np.asarray(trans, dtype=np.float64)
+    _check_crf_shapes(emis, trans)
     t_len, n_tags = emis.shape
-    if trans.shape != (n_tags + 2, n_tags + 2):
-        raise ValueError(f"transition shape {trans.shape} does not match "
-                         f"{n_tags} tags (want {(n_tags + 2, n_tags + 2)})")
     start = trans[n_tags, :n_tags]
     stop = trans[:n_tags, n_tags + 1]
     inner = trans[:n_tags, :n_tags]

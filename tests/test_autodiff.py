@@ -116,21 +116,12 @@ def test_add_broadcasts_row_vector_over_matrix():
 def test_logsumexp_empty_rejected():
     with pytest.raises(ValueError):
         ad.logsumexp(tensor(np.zeros(0)))
-    with pytest.raises(ValueError):
-        ad.softmax(tensor(np.zeros((2, 0))))
     ad.reset_tape()
 
 
 def test_logsumexp_stable_for_large_inputs():
     out = ad.logsumexp(tensor([1000.0, 1000.0]))
     assert abs(out.values - (1000.0 + np.log(2))) < 1e-9
-    ad.reset_tape()
-
-
-def test_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(0)
-    out = ad.softmax(tensor(rng.normal(size=(4, 5))))
-    assert np.allclose(out.values.sum(axis=1), 1.0)
     ad.reset_tape()
 
 
@@ -146,10 +137,34 @@ def test_concat_promotes_scalars():
 
 def test_index_out_of_range_rejected():
     m = tensor(np.ones((2, 2)))
+    for key in (5, -1, (0, 7), (0, -1), np.array([0, 2]), np.array([-1]),
+                slice(0, 3), slice(-1, None), (slice(0, 1), 2), (0, 0, 0)):
+        with pytest.raises(IndexError):
+            ad.index(m, key)
     with pytest.raises(IndexError):
-        ad.get_row(m, 5)
-    with pytest.raises(IndexError):
-        ad.get_elem(m, 0, 7)
+        ad.index(tensor(np.ones(3)), slice(1, 4))
+    ad.reset_tape()
+
+
+def test_recurrent_rejects_bad_shapes_and_cells():
+    x = tensor(np.ones((3, 2)))
+    w_x, w_h, b = tensor(np.ones((4, 2))), tensor(np.ones((4, 4))), tensor(np.ones(4))
+    with pytest.raises(ValueError, match="unknown recurrent cell"):
+        ad.recurrent(x, w_x, w_h, b, cell="gru")
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ad.recurrent(x, w_x, w_h, b, cell="lstm")    # lstm needs 4 * hidden rows
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ad.recurrent(tensor(np.ones((0, 2))), w_x, w_h, b)
+    ad.reset_tape()
+
+
+def test_recurrent_is_one_tape_entry_per_direction():
+    rng = np.random.default_rng(7)
+    x = _rand(rng, 6, 3)
+    w_x, w_h, b = _rand(rng, 8, 3), _rand(rng, 8, 2), _rand(rng, 8)
+    for reverse in (False, True):
+        ad.recurrent(x, w_x, w_h, b, cell="lstm", reverse=reverse)
+    assert ad.tape_size() == 2
     ad.reset_tape()
 
 
@@ -211,24 +226,9 @@ def _case_relu(rng):
     return [a], lambda: ad.tsum(ad.relu(a))
 
 
-def _case_softmax_vec(rng):
-    a, w = _rand(rng, 5), _rand(rng, 5)
-    return [a, w], lambda: ad.dot(ad.softmax(a), w)
-
-
-def _case_softmax_rows(rng):
-    a = _rand(rng, 3, 4)
-    return [a], lambda: ad.tsum(ad.mul(ad.softmax(a), a))
-
-
 def _case_logsumexp(rng):
     a = _rand(rng, 6)
     return [a], lambda: ad.logsumexp(a)
-
-
-def _case_logsumexp_rows(rng):
-    a = _rand(rng, 4, 3)
-    return [a], lambda: ad.tsum(ad.logsumexp_rows(a))
 
 
 def _case_normalize(rng):
@@ -247,27 +247,21 @@ def _case_concat_axis1(rng):
     return [a, b], lambda: ad.tsum(ad.tanh(ad.concat([a, b], axis=1)))
 
 
-def _case_stack_rows(rng):
-    a, b = _rand(rng, 4), _rand(rng, 4)
-    return [a, b], lambda: ad.tsum(ad.tanh(ad.stack_rows([a, b])))
-
-
-def _case_transpose(rng):
-    a = _rand(rng, 2, 5)
-    return [a], lambda: ad.tsum(ad.mul(ad.transpose(a), ad.transpose(a)))
-
-
-def _case_slicing(rng):
+def _case_index(rng):
     m = _rand(rng, 4, 5)
     v = _rand(rng, 6)
 
     def build():
-        parts = [ad.get_row(m, 1), ad.get_col(m, 2)]
-        s = ad.tsum(ad.concat(parts))
-        s = ad.add(s, ad.get_item(v, 3))
-        s = ad.add(s, ad.get_elem(m, 2, 4))
-        s = ad.add(s, ad.tsum(ad.slice_vec(v, 1, 4)))
-        s = ad.add(s, ad.tsum(ad.submat(m, 1, 3, 0, 2)))
+        parts = [ad.index(m, 1), ad.index(m, (slice(None), 2))]
+        s = ad.tsum(ad.tanh(ad.concat(parts)))
+        s = ad.add(s, ad.index(v, 3))
+        s = ad.add(s, ad.index(m, (2, 4)))
+        s = ad.add(s, ad.tsum(ad.tanh(ad.index(v, slice(1, 4)))))
+        s = ad.add(s, ad.tsum(ad.tanh(ad.index(m, (slice(1, 3), slice(0, 2))))))
+        # gathers with repeated indices accumulate in the backward
+        s = ad.add(s, ad.tsum(ad.tanh(ad.index(m, np.array([3, 0, 3])))))
+        s = ad.add(s, ad.tsum(ad.tanh(ad.index(m, (np.array([1, 1, 2]),
+                                                    np.array([0, 0, 4]))))))
         return s
     return [m, v], build
 
@@ -277,7 +271,24 @@ def _case_mean_rows(rng):
     return [a], lambda: ad.tsum(ad.tanh(ad.mean_rows(a)))
 
 
-_ALL_CASES = [v for k, v in sorted(globals().items()) if k.startswith("_case_")]
+def _recurrent_case(cell, reverse, t_len):
+    def case(rng):
+        d_in, hidden = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        width = (4 if cell == "lstm" else 1) * hidden
+        x = _rand(rng, t_len, d_in)
+        w_x, w_h, b = _rand(rng, width, d_in), _rand(rng, width, hidden), _rand(rng, width)
+        probe = ad.constant(rng.normal(size=(t_len, hidden)))
+
+        def build():
+            out = ad.recurrent(x, w_x, w_h, b, cell=cell, reverse=reverse)
+            return ad.tsum(ad.mul(out, probe))
+        return [x, w_x, w_h, b], build
+    return case
+
+
+_ALL_CASES = [v for k, v in sorted(globals().items()) if k.startswith("_case_")] + [
+    _recurrent_case(cell, reverse, t_len) for cell in ("tanh", "lstm")
+    for reverse in (False, True) for t_len in (1, 4)]
 
 
 def test_every_op_matches_finite_differences():

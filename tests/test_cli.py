@@ -176,6 +176,33 @@ def test_predict_missing_sidecar_is_data_error(tmp_path, capsys):
     assert "tags sidecar" in capsys.readouterr().err
 
 
+def test_predict_truncated_checkpoint_is_data_error(tmp_path, capsys):
+    corpus_path = write_corpus(tmp_path, "train.conll", small_corpus()[1:])
+    model = tmp_path / "model.bin"
+    assert cli.run(["train-ner", "--train", str(corpus_path), "--out", str(model),
+                    "--epochs", "0", "--emb", "2", "--enc-hidden", "1",
+                    "--hidden", "1", "--types", "LOC"]) == 0
+    blob = model.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for name in ("cut.bin.vocab", "cut.bin.tags"):
+        (tmp_path / name).write_bytes((tmp_path / name.replace("cut", "model")).read_bytes())
+    for n in range(len(blob) + 1):
+        cut.write_bytes(blob[:n])
+        rc = cli.run(["predict", "--model", str(cut), "--test", str(corpus_path),
+                      "--out", str(tmp_path / "pred.conll")])
+        assert rc == (0 if n == len(blob) else 2), f"cut at byte {n}"
+    capsys.readouterr()
+
+
+def test_non_utf8_corpus_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.conll"
+    bad.write_bytes(b"caf\xff B-LOC\n")
+    assert cli.run(["stats", "--train", str(bad)]) == 2
+    assert cli.run(["train-ner", "--train", str(bad), "--out",
+                    str(tmp_path / "m.bin"), "--epochs", "0"]) == 2
+    assert "error: data" in capsys.readouterr().err
+
+
 def test_train_ner_rejects_bad_tags(tmp_path, capsys):
     bad = write_corpus(tmp_path, "bad.conll",
                        [TaggedSentence(["x"], ["B-NOPE"])])

@@ -92,15 +92,19 @@ def test_queue_size_invariant_and_fifo():
     assert len(q) == 3
     init = q.as_matrix().copy()
     pushed = [np.array([float(i), 0.0]) for i in range(1, 4)]
-    ct.enqueue_dequeue(q, pushed[0])
+    q.rotate(pushed[0])
     assert len(q) == 3
     # first push evicts an init vector, never a pushed key
     assert any(np.array_equal(q.as_matrix()[i], pushed[0]) for i in range(3))
     assert np.array_equal(q.as_matrix()[:2], init[1:])
-    ct.enqueue_dequeue(q, pushed[1])
-    ct.enqueue_dequeue(q, pushed[2])
+    q.rotate(pushed[1])
+    q.rotate(pushed[2])
     # after N-1 pushes the queue is exactly the pushed keys, oldest first
     assert np.array_equal(q.as_matrix(), np.stack(pushed))
+    more = [np.array([0.0, float(i)]) for i in range(7)]
+    for key in more:
+        q.rotate(key)
+    assert np.array_equal(q.as_matrix(), np.stack(more[-3:]))
 
 
 def test_queue_stores_copies():

@@ -1,4 +1,6 @@
 """ParamStore, SGD semantics, and checkpoint round-trips."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,27 @@ def test_checkpoint_truncation_detected(tmp_path):
     clipped.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(ValueError, match="truncated"):
         load_params(clipped)
+
+
+def test_checkpoint_malformed_fields_raise_value_error(tmp_path):
+    store = ParamStore()
+    store.add("w", np.ones((2, 3)))
+    path = tmp_path / "model.bin"
+    save_params(store, path)
+    good = path.read_bytes()
+    header = MAGIC + struct.pack("<I", 1)
+    # every truncation but the bare header, which is a valid empty checkpoint
+    cases = [good[:cut] for cut in range(1, len(good)) if cut != len(header)]
+    cases += [
+        header + struct.pack("<I", 1) + b"\xff" + struct.pack("<II", 1, 1) + bytes(8),
+        header + struct.pack("<I", 1) + b"w" + struct.pack("<III", 2, 2**32 - 1, 2**32 - 1),
+        header + struct.pack("<I", 2**32 - 1) + b"w",
+        header + struct.pack("<I", 1) + b"w" + struct.pack("<I", 2**32 - 1),
+    ]
+    for blob in cases:
+        path.write_bytes(blob)
+        with pytest.raises(ValueError):
+            load_params(path)
 
 
 def test_checkpoint_starts_with_magic(tmp_path):

@@ -7,10 +7,12 @@ import pytest
 
 from contrastner import autodiff as ad
 from contrastner import encoder as enc
+from contrastner import synth
 from contrastner import tagger as tg
 from contrastner.corpus import TaggedSentence
 from contrastner.params import ParamStore
 
+import helpers
 from helpers import check_gradients
 
 
@@ -178,16 +180,90 @@ def test_nll_nonnegative_and_normalized():
 
 
 def test_nll_gradient_matches_finite_differences():
+    # logZ, the gold-path score and the nll, T = 1 and K = 1 included
     rng = np.random.default_rng(9)
-    for _ in range(3):
-        t_len = int(rng.integers(1, 5))
-        n_tags = int(rng.integers(2, 5))
+    for t_len, n_tags in [(1, 1), (4, 1), (1, 3), (3, 2), (4, 4), (5, 3)]:
         emis = ad.Tensor(rng.normal(size=(t_len, n_tags)), requires_grad=True)
         trans = ad.Tensor(rng.normal(size=(n_tags + 2, n_tags + 2)),
                           requires_grad=True)
         gold = [int(rng.integers(n_tags)) for _ in range(t_len)]
         check_gradients(lambda: tg.crf_nll(emis, trans, gold), [emis, trans],
                         rng=rng)
+        check_gradients(lambda: tg.crf_log_partition(emis, trans), [emis, trans],
+                        rng=rng)
+        check_gradients(lambda: tg.path_score(emis, trans, gold), [emis, trans],
+                        rng=rng)
+
+
+def _grads_of(loss, tensors):
+    ad.backward(loss)
+    grads = [np.zeros_like(t.values) if t.grad is None else t.grad for t in tensors]
+    for t in tensors:
+        t.grad = None
+    return grads
+
+
+def test_fused_ops_match_reference_graph():
+    # encode, bilstm_forward and crf_nll against the per-timestep graph:
+    # values and every gradient within 1e-10, strict transitions included
+    rng = np.random.default_rng(13)
+    words = ["w%d" % i for i in range(8)]
+    for trial in range(12):
+        vocab = enc.Vocab(words)
+        tag_list = tg.bio_tag_list(["PER", "LOC"][:int(rng.integers(1, 3))])
+        store = ParamStore()
+        enc.init_encoder(store, "enc.", len(vocab), int(rng.integers(1, 6)),
+                         int(rng.integers(1, 5)), rng)
+        tg.init_tagger(store, enc.output_dim(store), int(rng.integers(1, 5)),
+                       len(tag_list), rng)
+        store["crf.trans"].values[:] = rng.normal(size=store["crf.trans"].values.shape)
+        tokens = [str(rng.choice(words + ["unseen"])) for _ in range(int(rng.integers(1, 8)))]
+        gold = [int(rng.integers(len(tag_list))) for _ in tokens]
+        strict = trial % 3 == 0
+        if strict:
+            gold = [0] * len(tokens)   # a legal path under the BIO mask
+        params = store.tensors()
+
+        rows = enc.encode(store, vocab, tokens)
+        feats = tg.bilstm_forward(store, rows)
+        trans = tg._masked_trans(store, tag_list, strict)
+        loss = tg.crf_nll(tg.emissions(store, feats), trans, gold)
+        got = [rows.values, feats.values, loss.values] + _grads_of(loss, params)
+
+        rows = helpers.ref_encode(store, vocab, tokens)
+        feats = helpers.ref_bilstm_forward(store, rows)
+        trans = tg._masked_trans(store, tag_list, strict)
+        loss = helpers.ref_crf_nll(helpers.ref_emissions(store, feats), trans, gold)
+        want = [np.stack([r.values for r in rows]), np.stack([f.values for f in feats]),
+                loss.values] + _grads_of(loss, params)
+
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b), initial=0.0) < 1e-10
+
+
+def test_train_step_tape_is_at_most_two_entries_per_token():
+    # the tape of one train-ner step has a fixed number of entries, whatever
+    # the sentence length; over the synthetic split that is <= 2 per token
+    train, _ = synth.ner_fixture(seed=0, n_train=40, n_test=1)
+    vocab = enc.Vocab.from_sentences([s.tokens for s in train])
+    tag_list = tg.bio_tag_list(["LOC", "MISC", "ORG", "PER"])
+    store = ParamStore()
+    rng = np.random.default_rng(0)
+    enc.init_encoder(store, "enc.", len(vocab), 8, 8, rng)
+    tg.init_tagger(store, enc.output_dim(store), 8, len(tag_list), rng)
+    sizes = set()
+    entries = tokens = 0
+    for sent in train:
+        loss = tg.sentence_nll(store, vocab, sent, [tag_list.index(t) for t in sent.tags])
+        sizes.add(ad.tape_size())
+        entries += ad.tape_size()
+        tokens += len(sent)
+        ad.backward(loss)
+        for t in store.tensors():
+            t.grad = None
+    assert len(sizes) == 1
+    assert entries <= 2 * tokens
 
 
 def test_viterbi_single_tag():
