@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from . import autodiff, contrast, corpus, encoder, evaluation, kg, params, synth, tagger
 from .autodiff import Tensor, backward, no_grad
 from .contrast import NegativeQueue, WclConfig, info_nce, train_wcl
-from .corpus import Span, TaggedSentence, bio_to_spans, extract_spans, iob_to_bio, parse_conll
+from .corpus import Span, TaggedSentence, bio_to_spans, iob_to_bio, parse_conll
 from .encoder import Vocab
 from .evaluation import count_matches, prf, report
 from .kg import PotentialEntitySet, build_pe, enumerate_subphrases, expand_acronym, modify_entities

@@ -314,6 +314,10 @@ def _cmd_predict(ns) -> int:
         raise DataError(f"checkpoint lacks {', '.join(missing)}", path=ns.model)
     vocab = _sidecar_vocab(ns.model)
     tag_list = _load_tag_list(ns.model)
+    n_tags = store["crf.trans"].values.shape[0] - 2
+    if len(tag_list) != n_tags:
+        raise DataError(f"tags sidecar lists {len(tag_list)} tags, checkpoint has "
+                        f"{n_tags}", path=str(ns.model) + ".tags")
     sentences = corpus.parse_conll(ns.test)
     started = time.perf_counter()
     pred = tagger.predict(sentences, vocab, store, tag_list, ns.strict)
@@ -328,9 +332,10 @@ def _cmd_correct(ns) -> int:
     pred = corpus.parse_conll(ns.pred)
     sources = []
     typemap = kg.TypeMap.load(ns.typemap) if ns.typemap else kg.TypeMap.default_conll()
+    snapshot = remote = None
     if ns.kg:
-        sources.append(kg.load_snapshot(ns.kg, typemap))
-    remote = None
+        snapshot = kg.load_snapshot(ns.kg, typemap)
+        sources.append(snapshot)
     if ns.kg_endpoint:
         if not ns.kg_cache:
             raise ConfigError("--kg-endpoint needs --kg-cache")
@@ -349,8 +354,12 @@ def _cmd_correct(ns) -> int:
     corpus.write_conll(corrected, ns.out)
     extra = {"changed_sentences": changed,
              "potential_entities": 0 if pe is None else len(pe)}
+    if snapshot is not None:
+        extra["snapshot_dropped"] = snapshot.dropped
+        extra["snapshot_skipped_lines"] = snapshot.skipped_lines
     if remote is not None:
         extra["lookup_warnings"] = remote.warnings
+        extra["lookup_network_calls"] = remote.network_calls
     _write_manifest(ns.out, ns, extra, elapsed)
     print(f"changed_sentences={changed}")
     return 0

@@ -179,10 +179,6 @@ def bio_to_spans(tags: Sequence[str]):
     return spans
 
 
-# Canonical name used throughout: span extraction is the lenient BIO read.
-extract_spans = bio_to_spans
-
-
 def spans_to_bio(spans: Iterable[Span], length: int) -> list:
     """Inverse of bio_to_spans for non-overlapping spans."""
     tags = ["O"] * length

@@ -10,6 +10,7 @@ set PE; predicted tags inconsistent with PE are rewritten in place.
 from __future__ import annotations
 
 import json
+import re
 import urllib.parse
 import urllib.request
 from typing import Iterable, Optional, Sequence
@@ -131,6 +132,28 @@ def _tokens_of(sent) -> list:
     return sent.tokens if isinstance(sent, TaggedSentence) else list(sent)
 
 
+def _expansions(words: Sequence[str], token_lists: Sequence[list]) -> dict:
+    """Every word's expand_acronym result from one pass over the corpus.
+
+    A window of n tokens is keyed on its lower-cased initials and a word on
+    the first n characters of its lower-cased form (str.lower can lengthen
+    a character: 'İ' becomes two), so a window expands exactly the words
+    whose key it shares. Each key collects distinct phrases in
+    first-occurrence order.
+    """
+    keys = {w: tuple(w.lower()[:len(w)]) for w in words}
+    phrases = {key: {} for key in keys.values()}
+    lengths = {len(key) for key in phrases}
+    for tokens in token_lists:
+        initials = [t[:1].lower() for t in tokens]
+        for n in lengths:
+            for i in range(len(tokens) - n + 1):
+                found = phrases.get(tuple(initials[i:i + n]))
+                if found is not None:
+                    found.setdefault(" ".join(tokens[i:i + n]))
+    return {w: list(phrases[key]) for w, key in keys.items()}
+
+
 def expand_acronym(word: str, sentences: Iterable) -> list:
     """Corpus token windows whose initials spell the word, case-insensitively.
 
@@ -142,20 +165,7 @@ def expand_acronym(word: str, sentences: Iterable) -> list:
         expand_acronym("TEC", [["asked", "the", "European", "Commission"]])
         == ["the European Commission"]
     """
-    n = len(word)
-    letters = word.lower()
-    out = []
-    seen = set()
-    for sent in sentences:
-        tokens = _tokens_of(sent)
-        for i in range(len(tokens) - n + 1):
-            window = tokens[i:i + n]
-            if all(w[:1].lower() == letters[k] for k, w in enumerate(window)):
-                phrase = " ".join(window)
-                if phrase not in seen:
-                    seen.add(phrase)
-                    out.append(phrase)
-    return out
+    return _expansions([word], [_tokens_of(s) for s in sentences])[word]
 
 
 def enumerate_subphrases(phrase) -> list:
@@ -214,31 +224,31 @@ def build_pe(sentences: Sequence, kg, l_max: int = DEFAULT_L_MAX) -> PotentialEn
     sub-phrase of each expansion is looked up, and an acronym whose full
     expansion resolves inherits the expansion's types under its own
     surface. Independently, every window of <= l_max consecutive
-    capitalized tokens is looked up directly.
+    capitalized tokens is looked up directly. Acronyms are handled in
+    first-occurrence order; all of them are expanded in one corpus pass,
+    so the cost is linear in corpus tokens.
     """
     if l_max < 1:
         raise ValueError(f"l_max must be >= 1, got {l_max}")
     pe = PotentialEntitySet()
     token_lists = [_tokens_of(s) for s in sentences]
-    done = set()
-    for tokens in token_lists:
-        for w in tokens:
-            if not is_acronym(w) or w in done:
-                continue
-            done.add(w)
-            inherited = None
-            for exp in expand_acronym(w, token_lists):
-                for sub in enumerate_subphrases(exp):
-                    types = kg.lookup(sub)
-                    if types:
-                        pe.add(sub, types)
-                        if sub == exp and inherited is None:
-                            inherited = types
-            own = kg.lookup(w)
-            if own:
-                pe.add(w, own)
-            if inherited:
-                pe.add(w, inherited)
+    acronyms = list(dict.fromkeys(
+        w for tokens in token_lists for w in tokens if is_acronym(w)))
+    expansions = _expansions(acronyms, token_lists)
+    for w in acronyms:
+        inherited = None
+        for exp in expansions[w]:
+            for sub in enumerate_subphrases(exp):
+                types = kg.lookup(sub)
+                if types:
+                    pe.add(sub, types)
+                    if sub == exp and inherited is None:
+                        inherited = types
+        own = kg.lookup(w)
+        if own:
+            pe.add(w, own)
+        if inherited:
+            pe.add(w, inherited)
     for tokens in token_lists:
         t = 0
         while t < len(tokens):
@@ -258,17 +268,35 @@ def build_pe(sentences: Sequence, kg, l_max: int = DEFAULT_L_MAX) -> PotentialEn
     return pe
 
 
-def _claim_matches(tokens: Sequence[str], pe: PotentialEntitySet) -> list:
-    """Non-overlapping PE occurrences, longest first, then leftmost."""
-    candidates = []
+def _surface_trie(pe: PotentialEntitySet) -> dict:
+    """Token trie of the PE surfaces: token -> child node; the None key of a
+    node lists the surfaces whose tokens end there, in PE order."""
+    root: dict = {}
     for surface in pe.surfaces():
         stoks = surface.split()
-        length = len(stoks)
-        if length == 0 or length > len(tokens):
+        if not stoks:
             continue
-        for start in range(len(tokens) - length + 1):
-            if tokens[start:start + length] == stoks:
-                candidates.append((start, length, surface))
+        node = root
+        for tok in stoks:
+            node = node.setdefault(tok, {})
+        node.setdefault(None, []).append(surface)
+    return root
+
+
+def _claim_matches(tokens: Sequence[str], trie: dict) -> list:
+    """Non-overlapping PE occurrences, longest first, then leftmost.
+
+    Among surfaces with the same tokens, the first in PE order claims.
+    """
+    candidates = []
+    for start in range(len(tokens)):
+        node = trie
+        for end in range(start, len(tokens)):
+            node = node.get(tokens[end])
+            if node is None:
+                break
+            for surface in node.get(None, ()):
+                candidates.append((start, end - start + 1, surface))
     candidates.sort(key=lambda m: (-m[1], m[0]))
     taken = [False] * len(tokens)
     claimed = []
@@ -290,13 +318,16 @@ def modify_entities(sentences: Sequence[TaggedSentence],
     that span with one of the surface's types; anything else (wrong type,
     wrong boundary, or all O) is overwritten with B-X/I-X... of the
     surface's resolved type. Token text is never changed, so the pass is
-    idempotent. Matching is case-sensitive.
+    idempotent. Matching is case-sensitive. The surfaces go into one token
+    trie, so the work per token is bounded by the longest surface, not by
+    the size of the PE set.
     """
+    trie = _surface_trie(pe)
     out = []
     for sent in sentences:
         spans = bio_to_spans(sent.tags)
         tags = list(sent.tags)
-        for start, length, surface in _claim_matches(sent.tokens, pe):
+        for start, length, surface in _claim_matches(sent.tokens, trie):
             end = start + length - 1
             types = pe.types(surface)
             if any(s.start == start and s.end == end and s.type_ in types
@@ -310,8 +341,25 @@ def modify_entities(sentences: Sequence[TaggedSentence],
     return out
 
 
+# Cache fields are backslash-escaped, with a comma written as \c, so an
+# escaped field holds no raw tab, comma or line break and a reload splits
+# the line exactly where the writer joined it.
+_CACHE_ESCAPE = str.maketrans(
+    {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r", ",": "\\c"})
+_CACHE_UNESCAPE = {"t": "\t", "n": "\n", "r": "\r", "c": ","}
+_CACHE_ESCAPED = re.compile(r"\\(.?)", re.DOTALL)
+
+
+def _cache_unescape(field: str) -> str:
+    return _CACHE_ESCAPED.sub(lambda m: _CACHE_UNESCAPE.get(m[1], m[1]), field)
+
+
 class LookupCache:
-    """On-disk TSV cache of remote lookups: surface<TAB>comma-joined types."""
+    """On-disk TSV cache of remote lookups: surface<TAB>comma-joined types.
+
+    Backslash, tab, line breaks and commas inside a field are written as
+    backslash escapes; a file without backslashes reads as plain TSV.
+    """
 
     def __init__(self, path):
         self.path = path
@@ -323,7 +371,8 @@ class LookupCache:
                     if not line:
                         continue
                     surface, _, joined = line.partition("\t")
-                    self._d[surface] = tuple(t for t in joined.split(",") if t)
+                    self._d[_cache_unescape(surface)] = tuple(
+                        _cache_unescape(t) for t in joined.split(",") if t)
         except FileNotFoundError:
             pass
 
@@ -332,8 +381,9 @@ class LookupCache:
 
     def put(self, surface: str, types: Sequence[str]):
         self._d[surface] = tuple(types)
+        fields = [t.translate(_CACHE_ESCAPE) for t in types]
         with open(self.path, "a", encoding="utf-8") as f:
-            f.write(f"{surface}\t{','.join(types)}\n")
+            f.write(f"{surface.translate(_CACHE_ESCAPE)}\t{','.join(fields)}\n")
 
     def __len__(self):
         return len(self._d)

@@ -1,7 +1,13 @@
-"""Shared test utilities: the finite-difference gradient oracle."""
+"""Shared test utilities: the finite-difference gradient oracle and the
+reference implementations that fast paths are pinned to."""
+from typing import Iterable, Sequence
+
 import numpy as np
 
 from contrastner import autodiff as ad
+from contrastner.corpus import TaggedSentence, bio_to_spans
+from contrastner.kg import (
+    DEFAULT_L_MAX, PotentialEntitySet, _tokens_of, enumerate_subphrases, is_acronym)
 
 
 def rel_err(a, b, floor=1e-3):
@@ -138,3 +144,139 @@ def ref_path_score(emis_rows, trans, tag_ids):
 def ref_crf_nll(emis_rows, trans, tag_ids):
     return ad.sub(ref_crf_log_partition(emis_rows, trans),
                   ref_path_score(emis_rows, trans, tag_ids))
+
+
+# ---------------------------------------------------------------------------
+# reference KG correction: the quadratic harvest (one corpus scan per
+# acronym) and claim pass (every PE surface at every token position) that
+# the acronym-window index and the surface trie replace, kept verbatim to
+# pin them to the same PE sets, lookup order and corrected tags.
+
+def ref_expand_acronym(word: str, sentences: Iterable) -> list:
+    """Corpus token windows whose initials spell the word, case-insensitively.
+
+    Windows are len(word) consecutive tokens; each token's first letter
+    must match the corresponding acronym letter. Returns distinct phrases
+    in first-occurrence order.
+
+    Example:
+        expand_acronym("TEC", [["asked", "the", "European", "Commission"]])
+        == ["the European Commission"]
+    """
+    n = len(word)
+    letters = word.lower()
+    out = []
+    seen = set()
+    for sent in sentences:
+        tokens = _tokens_of(sent)
+        for i in range(len(tokens) - n + 1):
+            window = tokens[i:i + n]
+            if all(w[:1].lower() == letters[k] for k, w in enumerate(window)):
+                phrase = " ".join(window)
+                if phrase not in seen:
+                    seen.add(phrase)
+                    out.append(phrase)
+    return out
+
+
+def ref_build_pe(sentences: Sequence, kg, l_max: int = DEFAULT_L_MAX) -> PotentialEntitySet:
+    """Mine the potential-entity set for a corpus against a KG lookup.
+
+    Acronyms (all-uppercase words) are expanded; every contiguous
+    sub-phrase of each expansion is looked up, and an acronym whose full
+    expansion resolves inherits the expansion's types under its own
+    surface. Independently, every window of <= l_max consecutive
+    capitalized tokens is looked up directly.
+    """
+    if l_max < 1:
+        raise ValueError(f"l_max must be >= 1, got {l_max}")
+    pe = PotentialEntitySet()
+    token_lists = [_tokens_of(s) for s in sentences]
+    done = set()
+    for tokens in token_lists:
+        for w in tokens:
+            if not is_acronym(w) or w in done:
+                continue
+            done.add(w)
+            inherited = None
+            for exp in ref_expand_acronym(w, token_lists):
+                for sub in enumerate_subphrases(exp):
+                    types = kg.lookup(sub)
+                    if types:
+                        pe.add(sub, types)
+                        if sub == exp and inherited is None:
+                            inherited = types
+            own = kg.lookup(w)
+            if own:
+                pe.add(w, own)
+            if inherited:
+                pe.add(w, inherited)
+    for tokens in token_lists:
+        t = 0
+        while t < len(tokens):
+            if not tokens[t][:1].isupper():
+                t += 1
+                continue
+            run = t
+            while run < len(tokens) and tokens[run][:1].isupper():
+                run += 1
+            for length in range(1, min(l_max, run - t) + 1):
+                for start in range(t, run - length + 1):
+                    surface = " ".join(tokens[start:start + length])
+                    types = kg.lookup(surface)
+                    if types:
+                        pe.add(surface, types)
+            t = run
+    return pe
+
+
+def ref_claim_matches(tokens: Sequence[str], pe: PotentialEntitySet) -> list:
+    """Non-overlapping PE occurrences, longest first, then leftmost."""
+    candidates = []
+    for surface in pe.surfaces():
+        stoks = surface.split()
+        length = len(stoks)
+        if length == 0 or length > len(tokens):
+            continue
+        for start in range(len(tokens) - length + 1):
+            if tokens[start:start + length] == stoks:
+                candidates.append((start, length, surface))
+    candidates.sort(key=lambda m: (-m[1], m[0]))
+    taken = [False] * len(tokens)
+    claimed = []
+    for start, length, surface in candidates:
+        if any(taken[start:start + length]):
+            continue
+        for i in range(start, start + length):
+            taken[i] = True
+        claimed.append((start, length, surface))
+    claimed.sort()
+    return claimed
+
+
+def ref_modify_entities(sentences: Sequence[TaggedSentence],
+                        pe: PotentialEntitySet) -> list:
+    """Rewrite predicted tags that disagree with the potential-entity set.
+
+    A PE occurrence is consistent when the prediction contains exactly
+    that span with one of the surface's types; anything else (wrong type,
+    wrong boundary, or all O) is overwritten with B-X/I-X... of the
+    surface's resolved type. Token text is never changed, so the pass is
+    idempotent. Matching is case-sensitive.
+    """
+    out = []
+    for sent in sentences:
+        spans = bio_to_spans(sent.tags)
+        tags = list(sent.tags)
+        for start, length, surface in ref_claim_matches(sent.tokens, pe):
+            end = start + length - 1
+            types = pe.types(surface)
+            if any(s.start == start and s.end == end and s.type_ in types
+                   for s in spans):
+                continue
+            resolved = pe.primary(surface)
+            tags[start] = "B-" + resolved
+            for i in range(start + 1, end + 1):
+                tags[i] = "I-" + resolved
+        out.append(TaggedSentence(list(sent.tokens), tags))
+    return out

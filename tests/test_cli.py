@@ -1,8 +1,10 @@
 """CLI subcommands: wiring, config files, exit codes, manifests."""
+import json
+
 import numpy as np
 import pytest
 
-from contrastner import cli, synth
+from contrastner import cli, kg, synth
 from contrastner.corpus import TaggedSentence, parse_conll, write_conll
 
 
@@ -176,6 +178,19 @@ def test_predict_missing_sidecar_is_data_error(tmp_path, capsys):
     assert "tags sidecar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keep", [8, 10])
+def test_predict_tag_sidecar_length_mismatch_is_data_error(tmp_path, capsys, keep):
+    model, test_path = full_small_pipeline(tmp_path, capsys)
+    sidecar = tmp_path / "model.bin.tags"
+    tags = sidecar.read_text().split()
+    assert len(tags) == 9
+    sidecar.write_text("\n".join((tags + ["B-EXTRA"])[:keep]) + "\n")
+    rc = cli.run(["predict", "--model", str(model), "--test", str(test_path),
+                  "--out", str(tmp_path / "p.conll")])
+    assert rc == 2
+    assert f"lists {keep} tags, checkpoint has 9" in capsys.readouterr().err
+
+
 def test_predict_truncated_checkpoint_is_data_error(tmp_path, capsys):
     corpus_path = write_corpus(tmp_path, "train.conll", small_corpus()[1:])
     model = tmp_path / "model.bin"
@@ -260,6 +275,38 @@ def test_correct_with_snapshot(tmp_path, capsys):
     man = manifest_of(out)
     assert man["changed_sentences"] == "2"
     assert int(man["potential_entities"]) >= 2
+
+
+def test_correct_manifest_reports_snapshot_and_network_counters(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def fetch(url, timeout):
+        calls.append(url)
+        return json.dumps([])
+
+    monkeypatch.setattr(kg, "_default_fetch", fetch)
+    pred_path = write_corpus(tmp_path, "pred.conll", [
+        TaggedSentence(["Paris", "and", "New", "York"], ["O", "O", "O", "O"])])
+    snap = tmp_path / "kg.tsv"
+    snap.write_text("Paris\tPlace\nTuesday\tDay\nMonday\tHoliday\nno tab\n")
+    out = tmp_path / "corrected.conll"
+    args = ["correct", "--pred", str(pred_path), "--kg", str(snap),
+            "--kg-endpoint", "http://kg.test/{q}",
+            "--kg-cache", str(tmp_path / "cache.tsv"), "--out", str(out)]
+    assert cli.run(args) == 0
+    man = manifest_of(out)
+    assert man["snapshot_dropped"] == "2"
+    assert man["snapshot_skipped_lines"] == "1"
+    assert man["lookup_warnings"] == "0"
+    # "New", "York" and "New York" miss the snapshot and go to the network
+    assert len(calls) == 3
+    assert man["lookup_network_calls"] == "3"
+    # a second run answers every miss from the on-disk cache
+    assert cli.run(args) == 0
+    capsys.readouterr()
+    assert manifest_of(out)["lookup_network_calls"] == "0"
+    assert len(calls) == 3
 
 
 def test_correct_endpoint_needs_cache(tmp_path, capsys):

@@ -10,7 +10,6 @@ from contrastner.corpus import (
     TaggedSentence,
     bio_to_spans,
     corpus_stats,
-    extract_spans,
     iob_to_bio,
     load_pairs,
     parse_conll,
@@ -123,14 +122,13 @@ def test_iob_to_bio_type_change_opens_entity():
     assert iob_to_bio(["I-PER", "I-LOC"]) == ["B-PER", "B-LOC"]
 
 
-def test_extract_spans_examples():
+def test_bio_to_spans_examples():
     assert bio_to_spans(["B-PER", "I-PER", "O", "B-ORG"]) == {
         Span(0, 1, "PER"), Span(3, 3, "ORG")}
     assert bio_to_spans(["O", "I-PER"]) == {Span(1, 1, "PER")}
-    assert extract_spans is bio_to_spans
 
 
-def test_extract_spans_adjacent_and_trailing():
+def test_bio_to_spans_adjacent_and_trailing():
     assert bio_to_spans(["B-PER", "B-PER"]) == {
         Span(0, 0, "PER"), Span(1, 1, "PER")}
     assert bio_to_spans(["O", "B-LOC", "I-LOC"]) == {Span(1, 2, "LOC")}
@@ -140,7 +138,7 @@ def test_extract_spans_adjacent_and_trailing():
 
 
 def test_spans_round_trip_property():
-    # tags_from_spans then extract_spans recovers the span set exactly
+    # spans_to_bio then bio_to_spans recovers the span set exactly
     rng = random.Random(0)
     for case in range(500):
         length = rng.randrange(1, 15)

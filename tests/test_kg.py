@@ -3,7 +3,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from contrastner import kg
 from contrastner.corpus import (
     DataError, Span, TaggedSentence, bio_to_spans, spans_to_bio, validate_tags)
@@ -306,6 +309,114 @@ def test_lookup_cache_round_trip(tmp_path):
     assert reloaded.get("Paris") == ("Place", "PopulatedPlace")
     assert reloaded.get("Nowhere") == ()
     assert reloaded.get("unseen") is None
+
+
+# token alphabet for the differential tests: acronyms (KA twice, once with
+# the Kelvin sign, which lowers to "k"), words whose initials spell them,
+# capitals whose lower form is longer ('İ') or another letter ('ẞ'), a
+# token starting with the combining dot that 'İ'.lower() ends in, a token
+# holding a space, and lower-case fillers
+TOKENS = ["TEC", "AB", "KA", "\u212aA", "İA", "ẞE", "The", "the", "European",
+          "Commission", "end", "came", "Apple", "banana", "Kind", "Alpha",
+          "İzmir", "is", "\u0307ab", "ẞaal", "ßig", "Le Monde", "ran"]
+TAGS = ["O", "B-PER", "I-PER", "B-ORG", "I-ORG", "B-LOC", "I-LOC"]
+
+# half the draws come from a few tokens that spell acronyms of both
+# lengths, so expansions are common
+token_st = st.sampled_from(TOKENS) | st.sampled_from(
+    ["TEC", "AB", "the", "end", "came", "banana"])
+# surfaces over three tokens, so matches repeat, nest and overlap; padded
+# or doubled spaces give distinct surfaces with the same tokens, and blank
+# ones match nothing
+abc_st = st.sampled_from(["A", "B", "C"])
+surface_st = st.builds(
+    lambda toks, sep, pad: pad + sep.join(toks) + pad,
+    st.lists(abc_st, max_size=4),
+    st.sampled_from([" ", "  "]), st.sampled_from(["", " "]))
+
+
+class RecordingLookup:
+    def __init__(self, index):
+        self.index = index
+        self.calls = []
+
+    def lookup(self, surface):
+        self.calls.append(surface)
+        return self.index.lookup(surface)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentences=st.lists(st.lists(st.tuples(token_st, st.sampled_from(TAGS)),
+                                   min_size=1, max_size=10), max_size=6),
+       entries=st.lists(st.tuples(st.lists(token_st, min_size=1,
+                                           max_size=4).map(" ".join),
+                                  st.sampled_from(TYPES)), max_size=12),
+       l_max=st.integers(1, 4))
+def test_build_pe_and_modify_entities_match_reference(sentences, entries, l_max):
+    index = kg.KgIndex()
+    for surface, type_ in entries:
+        index.add(surface, type_)
+    pred = [TaggedSentence([t for t, _ in s], [g for _, g in s]) for s in sentences]
+    fast, ref = RecordingLookup(index), RecordingLookup(index)
+    pe = kg.build_pe(pred, fast, l_max)
+    ref_pe = helpers.ref_build_pe(pred, ref, l_max)
+    assert list(pe.items()) == list(ref_pe.items())
+    assert fast.calls == ref.calls
+    got = kg.modify_entities(pred, pe)
+    want = helpers.ref_modify_entities(pred, ref_pe)
+    assert [(s.tokens, s.tags) for s in got] == [(s.tokens, s.tags) for s in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus=st.lists(st.lists(st.sampled_from(TOKENS), max_size=10), max_size=6))
+def test_expand_acronym_matches_reference(corpus):
+    for word in TOKENS + ["", "IA", "TE", "ẞEA", "İAB", "KAT"]:
+        assert kg.expand_acronym(word, corpus) == helpers.ref_expand_acronym(word, corpus)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(abc_st, max_size=10), surfaces=st.lists(surface_st, max_size=8))
+def test_claim_matches_match_reference(tokens, surfaces):
+    pe = kg.PotentialEntitySet()
+    for surface in surfaces:
+        pe.add(surface, ["ORG"])
+    got = kg._claim_matches(tokens, kg._surface_trie(pe))
+    assert got == helpers.ref_claim_matches(tokens, pe)
+
+
+# half the characters are separators, line breaks or backslashes
+hostile_st = st.sampled_from(",\t\n\r\\") | st.characters(codec="utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.dictionaries(
+    st.text(hostile_st, max_size=6),
+    st.lists(st.text(hostile_st, min_size=1, max_size=5), max_size=3),
+    max_size=8))
+def test_lookup_cache_round_trips_hostile_text(tmp_path_factory, entries):
+    path = tmp_path_factory.mktemp("cache") / "cache.tsv"
+    cache = kg.LookupCache(path)
+    for surface, types in entries.items():
+        cache.put(surface, types)
+    reloaded = kg.LookupCache(path)
+    assert len(reloaded) == len(entries)
+    for surface, types in entries.items():
+        assert reloaded.get(surface) == tuple(types)
+
+
+def test_lookup_cache_file_format(tmp_path):
+    path = tmp_path / "cache.tsv"
+    # lines without backslashes read as they did before escaping
+    path.write_text("Paris\tPlace,,PopulatedPlace\nA, B\t\nNo tab\n"
+                    "x\ty\tz\n", encoding="utf-8")
+    cache = kg.LookupCache(path)
+    assert cache.get("Paris") == ("Place", "PopulatedPlace")
+    assert cache.get("A, B") == ()
+    assert cache.get("No tab") == ()
+    assert cache.get("x") == ("y\tz",)
+    cache.put("A,B\tC\\", ["x,y", "z\n"])
+    assert path.read_text(encoding="utf-8").endswith("A\\cB\\tC\\\\\tx\\cy,z\\n\n")
+    assert kg.LookupCache(path).get("A,B\tC\\") == ("x,y", "z\n")
 
 
 def test_remote_lookup_happy_path(tmp_path):
