@@ -8,6 +8,7 @@ their own fused ops with a hand-written backward (fused).
 """
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from typing import Sequence
 
@@ -361,23 +362,73 @@ def tsum(x: Tensor) -> Tensor:
 
 # ------------------------------------------------------------ sequence ops
 
-def _previous(states: np.ndarray, reverse: bool) -> np.ndarray:
-    """The state each step of a scan started from; zeros before the first."""
-    zero = np.zeros((1, states.shape[1]))
-    return np.concatenate((states[1:], zero) if reverse else (zero, states[:-1]))
+def pack(lengths, n_rows: int, reverse: bool = False) -> tuple:
+    """Time-major schedule for scanning sequences laid end to end in n_rows rows.
+
+    lengths lists the sequences in row order; None means one sequence of
+    n_rows. Returns (perm, steps, order). order lists the sequences by
+    descending length, ties in input order. Step t of the scan reads the
+    packed rows steps[t] = (start, end) of perm: the row at step t of each
+    sequence still live, in that order, so the live sequences at step t are
+    a prefix of those at step t - 1. reverse reads each sequence from its
+    last row to its first.
+    """
+    lens = [n_rows] if lengths is None else list(lengths)
+    if (not lens or sum(lens) != n_rows
+            or any(not isinstance(n, (int, np.integer)) or n < 1 for n in lens)):
+        raise ValueError(f"sequence lengths must be positive integers summing to "
+                         f"{n_rows} rows, got {lengths!r}")
+    lens = np.array(lens)
+    order = np.argsort(-lens, kind="stable")
+    ends = np.cumsum(lens)
+    first = (ends - 1 if reverse else ends - lens)[order]   # row of step 0
+    t = np.arange(lens[order[0]])[:, None]
+    live = t < lens[order]                       # (step, sequence); a prefix per step
+    bounds = np.cumsum(live.sum(axis=1)).tolist()
+    perm = (first + (-t if reverse else t))[live]
+    return perm, list(zip([0] + bounds[:-1], bounds)), order.tolist()
+
+
+def _block(start: int, n: int):
+    return start if n == 1 else slice(start, start + n)
+
+
+@functools.lru_cache(maxsize=64)
+def _scan_plan(lengths, n_rows: int, reverse: bool) -> tuple:
+    """(perm, n_seq, blocks, prev_rows) of a recurrent scan, see pack.
+
+    The state buffer holds n_seq zero rows, the states before step 0, then
+    the state after each packed row. Per step, a block holds the index of
+    its packed rows and of their previous states; one row is indexed by an
+    int, so that its ops run on vectors. prev_rows[r] is the previous state
+    of row r of x. perm is a slice for one sequence, so that it makes views.
+    Cached: training scans the same few sentence lengths over and over.
+    """
+    perm, steps, _ = pack(lengths, n_rows, reverse)
+    n_seq = steps[0][1]
+    prev = [0] + [s + n_seq for s, _ in steps[:-1]]
+    blocks = [(_block(s, e - s), _block(q, e - s)) for (s, e), q in zip(steps, prev)]
+    prev_rows = np.empty(n_rows, dtype=np.int64)
+    prev_rows[perm] = np.concatenate([np.arange(q, q + e - s)
+                                      for (s, e), q in zip(steps, prev)])
+    if n_seq == 1:
+        perm = slice(None, None, -1) if reverse else slice(None)
+    return perm, n_seq, blocks, prev_rows
 
 
 def recurrent(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
-              cell: str = "tanh", reverse: bool = False) -> Tensor:
+              cell: str = "tanh", reverse: bool = False, lengths=None) -> Tensor:
     """A recurrent layer over the rows of x, recorded as one tape entry.
 
     The input projection x @ w_x.T + b is one matrix product over every
-    timestep; only w_h @ h runs step by step. The tanh cell is
+    timestep; only h @ w_h.T runs step by step. The tanh cell is
     h = tanh(z). The lstm cell packs z in row blocks [input, forget, cell,
-    output], each `hidden` wide. reverse scans from the last row to the
-    first. Row t of the (T, hidden) output is the state after reading row
-    t of x, in either direction. The backward is backpropagation through
-    time, written out by hand.
+    output], each `hidden` wide. lengths splits the rows of x into
+    sequences laid end to end (default: one sequence); they are scanned in
+    lockstep, one matrix product per step (see pack). reverse scans each
+    sequence from its last row to its first. Row r of the (rows, hidden)
+    output is the state after reading row r of x, in either direction. The
+    backward is backpropagation through time, written out by hand.
     """
     if cell not in ("tanh", "lstm"):
         raise ValueError(f"unknown recurrent cell {cell!r}")
@@ -388,59 +439,67 @@ def recurrent(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
             or wh.shape != (width, hd) or bv.shape != (width,)):
         raise ValueError(f"recurrent shape mismatch for a {cell} cell: x {xv.shape}, "
                          f"w_x {wx.shape}, w_h {wh.shape}, b {bv.shape}")
-    t_len = xv.shape[0]
-    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    pre = xv @ wx.T + bv
-    hs = np.empty((t_len, hd))
-    h = np.zeros(hd)
+    n_rows = xv.shape[0]
+    perm, n_seq, blocks, prev_rows = _scan_plan(
+        None if lengths is None else tuple(lengths), n_rows, reverse)
+    p = (xv @ wx.T + bv)[perm]         # row k is the projection of row perm[k] of x
+    hs = np.zeros((n_seq + n_rows, hd))
+    states = hs[n_seq:]                # row k is the state after packed row k
+    wh_t = wh.T
     if cell == "tanh":
-        for t in steps:
-            hs[t] = h = np.tanh(pre[t] + wh @ h)
+        for k, j in blocks:
+            states[k] = np.tanh(p[k] + hs[j] @ wh_t)
     else:
         gate = slice(2 * hd, 3 * hd)
-        acts = np.empty_like(pre)      # i, f, g, o activations per step
-        cs = np.empty((t_len, hd))
-        tcs = np.empty((t_len, hd))    # tanh(c)
-        c = np.zeros(hd)
-        for t in steps:
-            z = pre[t] + wh @ h
+        acts = p                       # i, f, g, o activations overwrite each row
+        cs = np.zeros((n_seq + n_rows, hd))   # cell states, laid out as hs
+        c_states = cs[n_seq:]
+        tcs = np.empty((n_rows, hd))   # tanh(c)
+        for k, j in blocks:
+            z = p[k] + hs[j] @ wh_t
             a = _sigmoid(z)
-            a[gate] = np.tanh(z[gate])
-            c = a[hd:2 * hd] * c + a[:hd] * a[gate]
+            a[..., gate] = np.tanh(z[..., gate])
+            c = a[..., hd:2 * hd] * cs[j] + a[..., :hd] * a[..., gate]
             tc = np.tanh(c)
-            h = a[3 * hd:] * tc
-            acts[t], cs[t], tcs[t], hs[t] = a, c, tc, h
+            acts[k], c_states[k], tcs[k] = a, c, tc
+            states[k] = a[..., 3 * hd:] * tc
+    out = np.empty((n_rows, hd))
+    out[perm] = states
 
     def bwd(g):
-        dpre = np.empty_like(pre)
-        dh = np.zeros(hd)
+        dp = np.empty((n_rows, width))
+        dhs = np.zeros((n_seq + n_rows, hd))   # gradient into each state, laid out as hs
+        dstates = dhs[n_seq:]
+        dstates[:] = g[perm]           # steps add the gradient through w_h
         if cell == "tanh":
-            dact = 1.0 - hs * hs
-            for t in reversed(steps):
-                dpre[t] = dz = (g[t] + dh) * dact[t]
-                dh = dz @ wh
+            dact = 1.0 - states * states
+            for k, j in reversed(blocks):
+                dp[k] = dz = dstates[k] * dact[k]
+                dhs[j] += dz @ wh
         else:
             dact = acts * (1.0 - acts)
             dact[:, gate] = 1.0 - acts[:, gate] ** 2
             dc_dh = acts[:, 3 * hd:] * (1.0 - tcs * tcs)
-            c_prev = _previous(cs, reverse)
-            dc = np.zeros(hd)
-            for t in reversed(steps):
-                a, dz = acts[t], dpre[t]
-                dht = g[t] + dh
-                dc = dht * dc_dh[t] + dc
-                dz[:hd] = dc * a[gate]
-                dz[hd:2 * hd] = dc * c_prev[t]
-                dz[gate] = dc * a[:hd]
-                dz[3 * hd:] = dht * tcs[t]
-                dz *= dact[t]
-                dc = dc * a[hd:2 * hd]
-                dh = dz @ wh
+            dcs = np.zeros((n_seq + n_rows, hd))   # gradient into each cell state
+            dc_states = dcs[n_seq:]
+            for k, j in reversed(blocks):
+                a, dz, dht = acts[k], dp[k], dstates[k]
+                dc = dht * dc_dh[k] + dc_states[k]
+                dz[..., :hd] = dc * a[..., gate]
+                dz[..., hd:2 * hd] = dc * cs[j]
+                dz[..., gate] = dc * a[..., :hd]
+                dz[..., 3 * hd:] = dht * tcs[k]
+                dz *= dact[k]
+                dcs[j] = dc * a[..., hd:2 * hd]
+                dhs[j] += dz @ wh
+        # weight gradients sum over x's rows in their order, whatever the packing
+        dpre = np.empty_like(dp)
+        dpre[perm] = dp
         _accum(x, dpre @ wx)
         _accum(w_x, dpre.T @ xv)
-        _accum(w_h, dpre.T @ _previous(hs, reverse))
+        _accum(w_h, dpre.T @ hs[prev_rows])
         _accum(b, dpre.sum(axis=0))
-    return _record(Tensor(hs), (x, w_x, w_h, b), bwd)
+    return _record(Tensor(out), (x, w_x, w_h, b), bwd)
 
 
 def fused(values, inputs: Sequence[Tensor], grads) -> Tensor:

@@ -290,12 +290,6 @@ def _cmd_train_ner(ns) -> int:
     return 0
 
 
-# every parameter predict reads
-_TAGGER_PARAMS = ["enc.embed", "emit.w", "crf.trans"] + [
-    f"{key}.{part}" for key in ("enc.fwd", "enc.bwd", "lstm.f", "lstm.b")
-    for part in ("w_x", "w_h", "b")]
-
-
 def _load_tag_list(model_path) -> list:
     try:
         with open(str(model_path) + ".tags", encoding="utf-8") as f:
@@ -307,17 +301,44 @@ def _load_tag_list(model_path) -> list:
     return tags
 
 
+def _check_tagger(store: ParamStore, n_vocab: int, n_tags: int, model_path):
+    """DataError unless the checkpoint holds every parameter predict reads,
+    in shapes that agree with each other and with the sidecars, and holds
+    only finite values."""
+    def width(name):  # -1, which no shape matches, for a missing or non-matrix one
+        v = store[name].values if name in store else None
+        return v.shape[1] if v is not None and v.ndim == 2 else -1
+
+    emb, enc_h, lstm_h = width("enc.embed"), width("enc.fwd.w_h"), width("lstm.f.w_h")
+    want = {"enc.embed": (n_vocab, emb), "emit.w": (2 * lstm_h, n_tags),
+            "crf.trans": (n_tags + 2, n_tags + 2)}
+    for key, d_in, hidden, rows in (("enc.fwd", emb, enc_h, enc_h),
+                                    ("enc.bwd", emb, enc_h, enc_h),
+                                    ("lstm.f", 2 * enc_h, lstm_h, 4 * lstm_h),
+                                    ("lstm.b", 2 * enc_h, lstm_h, 4 * lstm_h)):
+        want.update({key + ".w_x": (rows, d_in), key + ".w_h": (rows, hidden),
+                     key + ".b": (rows,)})
+    if missing := [name for name in want if name not in store]:
+        raise DataError(f"checkpoint lacks {', '.join(missing)}", path=model_path)
+    trans = store["crf.trans"].values
+    if trans.ndim == 2 and trans.shape[0] != n_tags + 2:
+        raise DataError(f"tags sidecar lists {n_tags} tags, checkpoint has "
+                        f"{trans.shape[0] - 2}", path=str(model_path) + ".tags")
+    for name, shape in want.items():
+        if store[name].values.shape != shape:
+            raise DataError(f"{name} has shape {store[name].values.shape}, "
+                            f"expected {shape}", path=model_path)
+    for name, t in store.items():
+        if not np.isfinite(t.values).all():
+            raise DataError(f"{name} holds a non-finite value", path=model_path)
+
+
 def _cmd_predict(ns) -> int:
     _require(ns, "model", "test", "out")
     store = _load_checkpoint(ns.model)
-    if missing := [name for name in _TAGGER_PARAMS if name not in store]:
-        raise DataError(f"checkpoint lacks {', '.join(missing)}", path=ns.model)
     vocab = _sidecar_vocab(ns.model)
     tag_list = _load_tag_list(ns.model)
-    n_tags = store["crf.trans"].values.shape[0] - 2
-    if len(tag_list) != n_tags:
-        raise DataError(f"tags sidecar lists {len(tag_list)} tags, checkpoint has "
-                        f"{n_tags}", path=str(ns.model) + ".tags")
+    _check_tagger(store, len(vocab), len(tag_list), ns.model)
     sentences = corpus.parse_conll(ns.test)
     started = time.perf_counter()
     pred = tagger.predict(sentences, vocab, store, tag_list, ns.strict)

@@ -87,26 +87,30 @@ def output_dim(store: ParamStore, prefix: str = "enc.") -> int:
 
 
 def bidirectional(store: ParamStore, x: ad.Tensor, fwd_key: str, bwd_key: str,
-                  cell: str = "tanh") -> ad.Tensor:
+                  cell: str = "tanh", lengths=None) -> ad.Tensor:
     """Recurrent states over the rows of x, (T, 2*hidden): a forward scan
-    with the weights under fwd_key beside a reversed scan under bwd_key."""
+    with the weights under fwd_key beside a reversed scan under bwd_key.
+    lengths splits the rows into sequences laid end to end, as in
+    ad.recurrent; each is scanned on its own."""
     fwd, bwd = (ad.recurrent(x, store[k + ".w_x"], store[k + ".w_h"], store[k + ".b"],
-                             cell, reverse=rev)
+                             cell, reverse=rev, lengths=lengths)
                 for k, rev in ((fwd_key, False), (bwd_key, True)))
     return ad.concat([fwd, bwd], axis=1)
 
 
 def encode(store: ParamStore, vocab: Vocab, tokens: Sequence[str],
-           prefix: str = "enc.") -> ad.Tensor:
+           prefix: str = "enc.", lengths=None) -> ad.Tensor:
     """Contextual token matrix, one row per token, width 2*hidden.
 
-    Unknown tokens take the unknown-id embedding. Empty input is rejected.
+    Unknown tokens take the unknown-id embedding. lengths splits tokens
+    into sentences laid end to end (default: one sentence), each encoded
+    on its own. Empty input, or an empty sentence, is rejected.
     """
     if not tokens:
         raise ValueError("encode of an empty sentence")
     ids = np.array([vocab.id_of(t) for t in tokens])
     x = ad.index(store[prefix + "embed"], ids)
-    return bidirectional(store, x, prefix + "fwd", prefix + "bwd")
+    return bidirectional(store, x, prefix + "fwd", prefix + "bwd", lengths=lengths)
 
 
 def pool(output: ad.Tensor) -> ad.Tensor:

@@ -17,6 +17,10 @@ from .corpus import TaggedSentence
 from .params import ParamStore, sgd_step
 
 NEG_INF = -1e30  # stands in for -inf; keeps exp/log backward NaN-free
+# predict decodes sentences in packed chunks of at most this many tokens (a
+# longer sentence is a chunk of its own). It bounds the working set: at the
+# default sizes (64 wide) one recurrent direction of a chunk takes ~1.3 MB.
+PREDICT_CHUNK_TOKENS = 256
 
 
 @dataclass
@@ -74,11 +78,13 @@ def init_tagger(store: ParamStore, d_in: int, hidden: int, n_tags: int,
     store.add("crf.trans", rng.normal(0.0, 0.01, (n_tags + 2, n_tags + 2)))
 
 
-def bilstm_forward(store: ParamStore, inputs: ad.Tensor) -> ad.Tensor:
+def bilstm_forward(store: ParamStore, inputs: ad.Tensor, lengths=None) -> ad.Tensor:
     """Per-token features: forward and backward final states, concatenated.
 
     Args:
         inputs: (T, d_in) matrix of token representations.
+        lengths: splits the rows into sentences laid end to end, each run
+            on its own (default: one sentence).
 
     Returns:
         (T, 2*hidden) feature matrix.
@@ -86,7 +92,8 @@ def bilstm_forward(store: ParamStore, inputs: ad.Tensor) -> ad.Tensor:
     if inputs.values.ndim != 2 or inputs.values.shape[0] == 0:
         raise ValueError(f"bilstm_forward needs a (T, d) matrix with T >= 1, "
                          f"got shape {inputs.values.shape}")
-    return enc.bidirectional(store, inputs, "lstm.f", "lstm.b", cell="lstm")
+    return enc.bidirectional(store, inputs, "lstm.f", "lstm.b", cell="lstm",
+                             lengths=lengths)
 
 
 def emissions(store: ParamStore, feats: ad.Tensor) -> ad.Tensor:
@@ -178,31 +185,50 @@ def crf_nll(emis: ad.Tensor, trans: ad.Tensor, tag_ids: Sequence[int]) -> ad.Ten
 
 
 def viterbi(emis: np.ndarray, trans: np.ndarray) -> TagPath:
-    """Highest-scoring tag path by max-product dynamic programming.
+    """Highest-scoring tag path of one sequence: viterbi_packed of one."""
+    return viterbi_packed(emis, trans)[0]
 
-    Ties break toward the smallest tag id at every argmax. Plain numpy;
-    decoding never needs gradients.
+
+def viterbi_packed(emis: np.ndarray, trans: np.ndarray, lengths=None) -> list:
+    """Highest-scoring tag path of each sequence, by max-product dynamic
+    programming over all of them at once.
+
+    emis holds the (T_i, K) emissions of the sequences laid end to end and
+    lengths their T_i (default: one sequence); the recursion steps them in
+    lockstep, as ad.pack schedules. Ties break toward the smallest tag id at
+    every argmax. Returns one TagPath per sequence, in input order. Plain
+    numpy; decoding never needs gradients.
     """
     emis = np.asarray(emis, dtype=np.float64)
     trans = np.asarray(trans, dtype=np.float64)
     _check_crf_shapes(emis, trans)
-    t_len, n_tags = emis.shape
+    n_rows, n_tags = emis.shape
+    perm, steps, order = ad.pack(lengths, n_rows)
+    e = emis[perm]                               # packed rows, step by step
     start = trans[n_tags, :n_tags]
     stop = trans[:n_tags, n_tags + 1]
     inner = trans[:n_tags, :n_tags]
-    delta = emis[0] + start
-    back = np.zeros((t_len, n_tags), dtype=np.int64)
-    for t in range(1, t_len):
-        arrive = delta[:, None] + inner          # arrive[i, j]: from i into j
-        back[t] = np.argmax(arrive, axis=0)      # first index wins ties
-        delta = emis[t] + arrive[back[t], np.arange(n_tags)]
+    delta = e[:steps[0][1]] + start              # one row per sequence
+    back = np.zeros((n_rows, n_tags), dtype=np.int64)
+    for s, t_end in steps[1:]:
+        n = t_end - s
+        arrive = delta[:n, :, None] + inner      # arrive[k, i, j]: from i into j
+        back[s:t_end] = np.argmax(arrive, axis=1)   # first index wins ties
+        delta[:n] = e[s:t_end] + arrive.max(axis=1)
     final = delta + stop
-    best = int(np.argmax(final))
-    ids = [best]
-    for t in range(t_len - 1, 0, -1):
-        ids.append(int(back[t, ids[-1]]))
-    ids.reverse()
-    return TagPath(ids, float(final[best]))
+    tags = np.argmax(final, axis=1)
+    packed_ids = np.empty(n_rows, dtype=np.int64)
+    for s, t_end in reversed(steps):
+        n = t_end - s
+        packed_ids[s:t_end] = tags[:n]
+        tags[:n] = back[np.arange(s, t_end), tags[:n]]
+    ids = np.empty(n_rows, dtype=np.int64)
+    ids[perm] = packed_ids
+    scores = np.empty(len(order))
+    scores[order] = final.max(axis=1)
+    bounds = np.cumsum([n_rows] if lengths is None else lengths).tolist()
+    return [TagPath(ids[lo:hi].tolist(), float(score))
+            for lo, hi, score in zip([0] + bounds[:-1], bounds, scores)]
 
 
 def transition_mask(tag_list: Sequence[str]) -> np.ndarray:
@@ -287,19 +313,40 @@ def train_ner(sentences: Sequence[TaggedSentence], vocab: enc.Vocab,
     return log
 
 
+def _length_sorted_chunks(token_lists) -> list:
+    """Sentence indices sorted by length (stably), cut into runs of at most
+    PREDICT_CHUNK_TOKENS tokens; a longer sentence is a run of its own."""
+    chunks, size = [], 0
+    for i in sorted(range(len(token_lists)), key=lambda i: len(token_lists[i])):
+        if not chunks or size + len(token_lists[i]) > PREDICT_CHUNK_TOKENS:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(i)
+        size += len(token_lists[i])
+    return chunks
+
+
 def predict(sentences, vocab: enc.Vocab, store: ParamStore,
             tag_list: Sequence[str], strict: bool = False,
             enc_prefix: str = "enc.") -> list:
-    """Viterbi-decode token lists (or TaggedSentences) into TaggedSentences."""
+    """Viterbi-decode token lists (or TaggedSentences) into TaggedSentences.
+
+    Sentences are decoded in length-sorted chunks, one packed encoder,
+    BiLSTM and Viterbi pass per chunk; the result is in input order.
+    """
     trans = store["crf.trans"].values
     if strict:
         trans = trans + transition_mask(tag_list)
-    out = []
+    token_lists = [sent.tokens if isinstance(sent, TaggedSentence) else list(sent)
+                   for sent in sentences]
+    out = [None] * len(token_lists)
     with ad.no_grad():
-        for sent in sentences:
-            tokens = sent.tokens if isinstance(sent, TaggedSentence) else list(sent)
-            feats = bilstm_forward(store, enc.encode(store, vocab, tokens, enc_prefix))
-            emis = emissions(store, feats)
-            path = viterbi(emis.values, trans)
-            out.append(TaggedSentence(tokens, [tag_list[i] for i in path.ids]))
+        for chunk in _length_sorted_chunks(token_lists):
+            lengths = [len(token_lists[i]) for i in chunk]
+            tokens = [tok for i in chunk for tok in token_lists[i]]
+            feats = bilstm_forward(
+                store, enc.encode(store, vocab, tokens, enc_prefix, lengths), lengths)
+            paths = viterbi_packed(emissions(store, feats).values, trans, lengths)
+            for i, path in zip(chunk, paths):
+                out[i] = TaggedSentence(token_lists[i], [tag_list[t] for t in path.ids])
     return out

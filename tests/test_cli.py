@@ -6,6 +6,7 @@ import pytest
 
 from contrastner import cli, kg, synth
 from contrastner.corpus import TaggedSentence, parse_conll, write_conll
+from contrastner.params import ParamStore, load_params, save_params
 
 
 @pytest.fixture
@@ -191,6 +192,47 @@ def test_predict_tag_sidecar_length_mismatch_is_data_error(tmp_path, capsys, kee
     assert f"lists {keep} tags, checkpoint has 9" in capsys.readouterr().err
 
 
+def rewrite_param(model, name, edit):
+    """Save the checkpoint again with edit(values) in place of parameter name."""
+    old = load_params(model)
+    new = ParamStore()
+    for key, t in old.items():
+        new.add(key, edit(t.values.copy()) if key == name else t.values)
+    save_params(new, model)
+
+
+def _poison(values, bad):
+    values.flat[3] = bad
+    return values
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("emit.w", lambda v: _poison(v, np.nan)),
+    ("lstm.f.w_h", lambda v: _poison(v, np.inf)),
+    ("lstm.f.w_x", lambda v: v[:, :-1]),
+    ("emit.w", lambda v: np.hstack([v, v[:, :1]])),
+], ids=["nan-emit.w", "inf-lstm.f.w_h", "short-lstm.f.w_x", "extra-emit.w-column"])
+def test_predict_inconsistent_checkpoint_is_data_error(tmp_path, capsys, name, edit):
+    model, test_path = full_small_pipeline(tmp_path, capsys)
+    rewrite_param(model, name, edit)
+    rc = cli.run(["predict", "--model", str(model), "--test", str(test_path),
+                  "--out", str(tmp_path / "p.conll")])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+
+
+def test_predict_vocab_sidecar_longer_than_embedding_is_data_error(tmp_path, capsys):
+    model, _ = full_small_pipeline(tmp_path, capsys)
+    with open(str(model) + ".vocab", "a", encoding="utf-8") as f:
+        f.write("zzz\n")
+    test_path = write_corpus(tmp_path, "unseen.conll",
+                             [TaggedSentence(["zzz", "spoke"], ["O", "O"])])
+    rc = cli.run(["predict", "--model", str(model), "--test", str(test_path),
+                  "--out", str(tmp_path / "p.conll")])
+    assert rc == 2
+    assert "enc.embed" in capsys.readouterr().err
+
+
 def test_predict_truncated_checkpoint_is_data_error(tmp_path, capsys):
     corpus_path = write_corpus(tmp_path, "train.conll", small_corpus()[1:])
     model = tmp_path / "model.bin"
@@ -242,7 +284,6 @@ def test_train_ner_warm_start_from_wcl(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     # with zero epochs the adopted encoder weights survive verbatim
-    from contrastner.params import load_params
     warm = load_params(model)
     wcl = load_params(enc_out)
     assert np.array_equal(warm["enc.embed"].values, wcl["enc.embed"].values)

@@ -298,6 +298,38 @@ def test_viterbi_matches_enumeration():
         path = tg.viterbi(emis, trans)
         assert abs(path.score - best) < 1e-9
         assert path.ids == best_path  # product() emits smallest ids first
+    # packed batches of mixed lengths, T = 1 and K = 1 included; each path
+    # also equals decoding its sequence alone, bit for bit
+    for trial in range(60):
+        n_tags = 1 if trial % 5 == 0 else int(rng.integers(2, 5))
+        lengths = [int(n) for n in rng.integers(1, 6, size=int(rng.integers(1, 7)))]
+        emis = rng.normal(size=(sum(lengths), n_tags))
+        trans = rng.normal(size=(n_tags + 2, n_tags + 2))
+        paths = tg.viterbi_packed(emis, trans, lengths)
+        assert len(paths) == len(lengths)
+        bounds = np.cumsum([0] + lengths)
+        for path, lo, hi in zip(paths, bounds[:-1], bounds[1:]):
+            _, best, best_path = enum_paths(emis[lo:hi], trans)
+            assert abs(path.score - best) < 1e-9
+            assert path.ids == best_path
+            alone = tg.viterbi(emis[lo:hi], trans)
+            assert (alone.ids, alone.score) == (path.ids, path.score)
+
+
+def test_viterbi_packed_ties_break_to_smallest_id():
+    # every path ties; a small-integer batch has many exact ties
+    paths = tg.viterbi_packed(np.zeros((7, 4)), np.zeros((6, 6)), [2, 1, 4])
+    assert [p.ids for p in paths] == [[0, 0], [0], [0, 0, 0, 0]]
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        lengths = [int(n) for n in rng.integers(1, 5, size=4)]
+        emis = rng.integers(-1, 2, size=(sum(lengths), 3)).astype(float)
+        trans = rng.integers(-1, 2, size=(5, 5)).astype(float)
+        bounds = np.cumsum([0] + lengths)
+        for path, lo, hi in zip(tg.viterbi_packed(emis, trans, lengths),
+                                bounds[:-1], bounds[1:]):
+            alone = tg.viterbi(emis[lo:hi], trans)
+            assert (alone.ids, alone.score) == (path.ids, path.score)
 
 
 def test_viterbi_emission_shift_invariance():
@@ -459,6 +491,44 @@ def test_predict_strict_obeys_bio_grammar():
             if tag.startswith("I-"):
                 assert prev != "O" and prev[2:] == tag[2:]
             prev = tag
+
+
+def test_predict_batched_matches_per_sentence_reference():
+    # lengths 1..29, three of each, shuffled: several length-sorted chunks.
+    # Tags equal per-sentence decoding through the reference graph, in input
+    # order; packed emissions equal the reference within 1e-10.
+    rng = np.random.default_rng(17)
+    words = ["w%d" % i for i in range(10)]
+    vocab = enc.Vocab(words)
+    tag_list = tg.bio_tag_list(["PER", "LOC"])
+    store = ParamStore()
+    enc.init_encoder(store, "enc.", len(vocab), 5, 4, rng)
+    tg.init_tagger(store, enc.output_dim(store), 3, len(tag_list), rng)
+    store["crf.trans"].values[:] = rng.normal(size=store["crf.trans"].values.shape)
+    lengths = [int(n) for n in rng.permutation(list(range(1, 30)) * 3)]
+    sents = [[str(rng.choice(words + ["unseen"])) for _ in range(n)] for n in lengths]
+    assert sum(lengths) > 2 * tg.PREDICT_CHUNK_TOKENS
+
+    ref_emis = []
+    for tokens in sents:
+        feats = helpers.ref_bilstm_forward(store, helpers.ref_encode(store, vocab, tokens))
+        ref_emis.append(np.stack([r.values for r in helpers.ref_emissions(store, feats)]))
+    ad.reset_tape()
+    with ad.no_grad():
+        tokens = [tok for sent in sents for tok in sent]
+        feats = tg.bilstm_forward(store, enc.encode(store, vocab, tokens, lengths=lengths),
+                                  lengths)
+        packed = tg.emissions(store, feats).values
+    assert np.max(np.abs(packed - np.concatenate(ref_emis))) < 1e-10
+
+    for strict in (False, True):
+        trans = store["crf.trans"].values + (tg.transition_mask(tag_list) if strict else 0.0)
+        got = tg.predict(sents, vocab, store, tag_list, strict)
+        assert [p.tokens for p in got] == sents
+        for pred, emis in zip(got, ref_emis):
+            assert pred.tags == [tag_list[i] for i in tg.viterbi(emis, trans).ids]
+        with pytest.raises(ValueError):
+            tg.predict(sents[:5] + [[]] + sents[5:], vocab, store, tag_list, strict)
 
 
 def test_bio_tag_list_layout():
