@@ -18,9 +18,7 @@ from contrastner.params import ParamStore
 
 
 def mean_similarities(pairs, vocab, query, key, queue):
-    qmat = queue.as_matrix()
-    norms = np.linalg.norm(qmat, axis=1, keepdims=True)
-    qn = np.where(norms > 1e-9, qmat / np.maximum(norms, 1e-30), 0.0)
+    qn = queue.unit_matrix()
     pos, neg = [], []
     with ad.no_grad():
         for pair in pairs:

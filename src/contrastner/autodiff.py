@@ -78,8 +78,10 @@ def _accum(t: Tensor, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        # 0.0 + g, not a copy of g: a -0.0 entry becomes +0.0
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.values))
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor):
@@ -104,34 +106,39 @@ def backward(loss: Tensor):
 # ---------------------------------------------------------------- linear ops
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b for matrix/vector operands. The backward forms the gradient
+    product only for an operand that requires grad."""
     av, bv = a.values, b.values
     if av.ndim == 2 and bv.ndim == 2:
         if av.shape[1] != bv.shape[0]:
             raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-        out = Tensor(av @ bv)
 
         def bwd(g):
-            _accum(a, g @ bv.T)
-            _accum(b, av.T @ g)
+            if a.requires_grad:
+                _accum(a, g @ bv.T)
+            if b.requires_grad:
+                _accum(b, av.T @ g)
     elif av.ndim == 2 and bv.ndim == 1:
         if av.shape[1] != bv.shape[0]:
             raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-        out = Tensor(av @ bv)
 
         def bwd(g):
-            _accum(a, np.outer(g, bv))
-            _accum(b, av.T @ g)
+            if a.requires_grad:
+                _accum(a, np.outer(g, bv))
+            if b.requires_grad:
+                _accum(b, av.T @ g)
     elif av.ndim == 1 and bv.ndim == 2:
         if av.shape[0] != bv.shape[0]:
             raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-        out = Tensor(av @ bv)
 
         def bwd(g):
-            _accum(a, bv @ g)
-            _accum(b, np.outer(av, g))
+            if a.requires_grad:
+                _accum(a, bv @ g)
+            if b.requires_grad:
+                _accum(b, np.outer(av, g))
     else:
         raise ValueError(f"matmul needs matrix/vector operands, got {av.shape} @ {bv.shape}")
-    return _record(out, (a, b), bwd)
+    return _record(Tensor(av @ bv), (a, b), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

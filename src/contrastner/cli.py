@@ -261,11 +261,10 @@ def _cmd_train_ner(ns) -> int:
     rng = np.random.default_rng(ns.seed)
     store = ParamStore()
     if ns.encoder:
-        wcl_store = _load_checkpoint(ns.encoder)
-        store.adopt(wcl_store.subset("enc."))
-        if "enc.embed" not in store:
-            raise DataError("checkpoint has no encoder weights", path=ns.encoder)
+        enc_store = _load_checkpoint(ns.encoder).subset("enc.")
         vocab = _sidecar_vocab(ns.encoder)
+        _check_params(enc_store, _encoder_shapes(enc_store, len(vocab)), ns.encoder)
+        store.adopt(enc_store)
     else:
         vocab = encoder.Vocab.from_sentences(s.tokens for s in train_sents)
         encoder.init_encoder(store, "enc.", len(vocab), ns.emb, ns.enc_hidden, rng)
@@ -301,29 +300,29 @@ def _load_tag_list(model_path) -> list:
     return tags
 
 
-def _check_tagger(store: ParamStore, n_vocab: int, n_tags: int, model_path):
-    """DataError unless the checkpoint holds every parameter predict reads,
-    in shapes that agree with each other and with the sidecars, and holds
-    only finite values."""
-    def width(name):  # -1, which no shape matches, for a missing or non-matrix one
-        v = store[name].values if name in store else None
-        return v.shape[1] if v is not None and v.ndim == 2 else -1
+def _width(store: ParamStore, name: str) -> int:
+    """Columns of a matrix parameter; -1, which no shape matches, for a
+    missing or non-matrix one."""
+    v = store[name].values if name in store else None
+    return v.shape[1] if v is not None and v.ndim == 2 else -1
 
-    emb, enc_h, lstm_h = width("enc.embed"), width("enc.fwd.w_h"), width("lstm.f.w_h")
-    want = {"enc.embed": (n_vocab, emb), "emit.w": (2 * lstm_h, n_tags),
-            "crf.trans": (n_tags + 2, n_tags + 2)}
-    for key, d_in, hidden, rows in (("enc.fwd", emb, enc_h, enc_h),
-                                    ("enc.bwd", emb, enc_h, enc_h),
-                                    ("lstm.f", 2 * enc_h, lstm_h, 4 * lstm_h),
-                                    ("lstm.b", 2 * enc_h, lstm_h, 4 * lstm_h)):
-        want.update({key + ".w_x": (rows, d_in), key + ".w_h": (rows, hidden),
-                     key + ".b": (rows,)})
+
+def _encoder_shapes(store: ParamStore, n_vocab: int) -> dict:
+    """The shape of every encoder parameter, from the vocab and the widths
+    of enc.embed and enc.fwd.w_h."""
+    emb, hidden = _width(store, "enc.embed"), _width(store, "enc.fwd.w_h")
+    want = {"enc.embed": (n_vocab, emb)}
+    for key in ("enc.fwd", "enc.bwd"):
+        want.update({key + ".w_x": (hidden, emb), key + ".w_h": (hidden, hidden),
+                     key + ".b": (hidden,)})
+    return want
+
+
+def _check_params(store: ParamStore, want: dict, model_path):
+    """DataError unless the store holds every wanted parameter in its wanted
+    shape, and only finite values."""
     if missing := [name for name in want if name not in store]:
         raise DataError(f"checkpoint lacks {', '.join(missing)}", path=model_path)
-    trans = store["crf.trans"].values
-    if trans.ndim == 2 and trans.shape[0] != n_tags + 2:
-        raise DataError(f"tags sidecar lists {n_tags} tags, checkpoint has "
-                        f"{trans.shape[0] - 2}", path=str(model_path) + ".tags")
     for name, shape in want.items():
         if store[name].values.shape != shape:
             raise DataError(f"{name} has shape {store[name].values.shape}, "
@@ -331,6 +330,23 @@ def _check_tagger(store: ParamStore, n_vocab: int, n_tags: int, model_path):
     for name, t in store.items():
         if not np.isfinite(t.values).all():
             raise DataError(f"{name} holds a non-finite value", path=model_path)
+
+
+def _check_tagger(store: ParamStore, n_vocab: int, n_tags: int, model_path):
+    """DataError unless the checkpoint holds every parameter predict reads,
+    in shapes that agree with each other and with the sidecars, and holds
+    only finite values."""
+    trans = store["crf.trans"].values if "crf.trans" in store else None
+    if trans is not None and trans.ndim == 2 and trans.shape[0] != n_tags + 2:
+        raise DataError(f"tags sidecar lists {n_tags} tags, checkpoint has "
+                        f"{trans.shape[0] - 2}", path=str(model_path) + ".tags")
+    enc_h, lstm_h = _width(store, "enc.fwd.w_h"), _width(store, "lstm.f.w_h")
+    want = _encoder_shapes(store, n_vocab)
+    want.update({"emit.w": (2 * lstm_h, n_tags), "crf.trans": (n_tags + 2, n_tags + 2)})
+    for key in ("lstm.f", "lstm.b"):
+        want.update({key + ".w_x": (4 * lstm_h, 2 * enc_h),
+                     key + ".w_h": (4 * lstm_h, lstm_h), key + ".b": (4 * lstm_h,)})
+    _check_params(store, want, model_path)
 
 
 def _cmd_predict(ns) -> int:

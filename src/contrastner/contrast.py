@@ -81,8 +81,13 @@ def similarity(a: ad.Tensor, b: ad.Tensor, raw: bool = False) -> ad.Tensor:
 class NegativeQueue:
     """FIFO of past key vectors, fixed size, oldest first.
 
-    A ring buffer: one preallocated (size, dim) array and the row index of
-    the eldest entry.
+    A mirrored ring: every row is held twice, at i and at i + size, in one
+    (2 * size, dim) buffer, and head is the row index of the eldest entry.
+    rows[head:head + size] is then the whole queue, eldest first, as a
+    contiguous view. A rotation writes one key twice and moves head. The
+    unit rows (for cosine scores) are kept the same way, computed on first
+    read and then one row per rotation. rotations counts every rotation, so
+    that a holder of a view can tell that the queue has moved since.
     """
 
     def __init__(self, size: int, dim: int, rng: np.random.Generator):
@@ -90,8 +95,12 @@ class NegativeQueue:
             raise ValueError(f"queue size must be >= 1, got {size}")
         self.size = size
         self.dim = dim
-        self._rows = rng.standard_normal((size, dim))
+        self._rows = np.empty((2 * size, dim))
+        rng.standard_normal(out=self._rows[:size])
+        self._rows[size:] = self._rows[:size]
+        self._units = None
         self._head = 0
+        self.rotations = 0
 
     def __len__(self):
         return self.size
@@ -101,12 +110,39 @@ class NegativeQueue:
         key = np.asarray(key, dtype=np.float64)
         if key.shape != (self.dim,):
             raise ValueError(f"key shape {key.shape} does not match queue dim {self.dim}")
-        self._rows[self._head] = key
+        h, mirror = self._head, self._head + self.size
+        self._rows[h] = self._rows[mirror] = key
+        if self._units is not None:
+            self._units[h] = self._units[mirror] = _unit_rows(key[None, :])[0]
         self._head = (self._head + 1) % self.size
+        self.rotations += 1
 
     def as_matrix(self) -> np.ndarray:
-        """A fresh (size, dim) array, eldest row first."""
-        return np.concatenate((self._rows[self._head:], self._rows[:self._head]))
+        """A read-only (size, dim) view, eldest row first."""
+        return self._view(self._rows)
+
+    def unit_matrix(self) -> np.ndarray:
+        """as_matrix with every row scaled to unit length (a zero row stays
+        zero), as a read-only view."""
+        if self._units is None:
+            units = _unit_rows(self._rows[:self.size])
+            self._units = np.concatenate((units, units))
+        return self._view(self._units)
+
+    def _view(self, buf: np.ndarray) -> np.ndarray:
+        view = buf[self._head:self._head + self.size]
+        view.flags.writeable = False
+        return view
+
+
+def _unit_rows(q: np.ndarray) -> np.ndarray:
+    """Each row over its L2 norm; rows of norm <= 1e-9 become zero."""
+    norms = np.linalg.norm(q, axis=1, keepdims=True)
+    return np.where(norms > 1e-9, q / np.maximum(norms, 1e-30), 0.0)
+
+
+class StaleQueueError(RuntimeError):
+    """The queue rotated between build_msim and the backward pass."""
 
 
 def build_msim(pos: ad.Tensor, queue: NegativeQueue, anchor: ad.Tensor,
@@ -114,27 +150,48 @@ def build_msim(pos: ad.Tensor, queue: NegativeQueue, anchor: ad.Tensor,
     """Similarity vector [positive, negatives...] of length queue size + 1.
 
     Queue entries are constants; gradients flow only through the anchor
-    (and whatever produced the positive score).
+    (and whatever produced the positive score). One tape entry. The
+    negatives are a view of the queue, so the backward needs the queue as
+    it was here: rotate only after backward, or it raises StaleQueueError.
     """
     if queue is None or len(queue) == 0:
         raise ValueError("negative queue is not initialized")
-    q = queue.as_matrix()
     if raw:
-        a = anchor
+        q, a = queue.as_matrix(), anchor
     else:
-        norms = np.linalg.norm(q, axis=1, keepdims=True)
-        q = np.where(norms > 1e-9, q / np.maximum(norms, 1e-30), 0.0)
-        a = ad.normalize(anchor)
-    negs = ad.matmul(ad.constant(q), a)
-    return ad.concat([pos, negs])
+        q, a = queue.unit_matrix(), ad.normalize(anchor)
+    out = np.empty(len(queue) + 1)
+    out[0] = pos.values
+    out[1:] = q @ a.values
+    rotations = queue.rotations
+
+    def grads(g):
+        if queue.rotations != rotations:
+            raise StaleQueueError(
+                f"negative queue rotated {queue.rotations - rotations} time(s) "
+                f"between build_msim and backward; rotate after backward")
+        return g[0], q.T @ g[1:]
+    return ad.fused(out, (pos, a), grads)
 
 
 def info_nce(m: ad.Tensor, tau: float) -> ad.Tensor:
-    """Contrastive loss with the positive at index 0."""
+    """Contrastive loss with the positive at index 0, as one tape entry:
+    logsumexp(s) - s[0] with s = m / tau."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    s = ad.scale(m, 1.0 / tau)
-    return ad.sub(ad.logsumexp(s), ad.index(s, 0))
+    if m.values.ndim != 1 or m.values.size == 0:
+        raise ValueError(f"info_nce needs a non-empty vector, got shape {m.values.shape}")
+    c = 1.0 / tau
+    s = m.values * c
+    mx = s.max()
+    lse = mx + np.log(np.sum(np.exp(s - mx)))
+    softmax = np.exp(s - lse)
+
+    def grads(g):
+        ds = g * softmax
+        ds[0] += g * -1.0
+        return (ds * c,)
+    return ad.fused(lse + s[0] * -1.0, (m,), grads)
 
 
 def train_wcl(pairs: Sequence[SentencePair], vocab: enc.Vocab,
@@ -143,9 +200,9 @@ def train_wcl(pairs: Sequence[SentencePair], vocab: enc.Vocab,
     """Fine-tune the query encoder and head on sentence pairs.
 
     Per pair: project and normalize both sides (key side without taping),
-    score positive and queue negatives, rotate the queue with the new key,
-    take the InfoNCE loss, backpropagate, step the query side only, then
-    refresh the key per the configured mode. Returns per-epoch mean losses.
+    score positive and queue negatives, take the InfoNCE loss,
+    backpropagate, rotate the queue with the new key, step the query side
+    only, then refresh the key per the configured mode. Returns per-epoch mean losses.
     """
     config.validate()
     if not pairs:
@@ -173,12 +230,12 @@ def train_wcl(pairs: Sequence[SentencePair], vocab: enc.Vocab,
                     pos_key = ad.normalize(pos_key)
             pos = ad.dot(anchor, pos_key)
             msim = build_msim(pos, queue, anchor, raw=config.raw_dot)
-            queue.rotate(pos_key.values)
             loss = info_nce(msim, config.temperature)
             if not np.isfinite(loss.values):
                 raise RuntimeError(
                     f"non-finite loss at pair {idx}, epoch {epoch}")
             ad.backward(loss)
+            queue.rotate(pos_key.values)   # after backward: msim's grads read the queue
             sgd_step([query], config.lr)
             enc.update_key(key, query, config.key_update, config.momentum)
             log.steps += 1

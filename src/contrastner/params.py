@@ -91,7 +91,8 @@ def sgd_step(stores, lr: float):
     for store in stores:
         for _, t in store.items():
             if t.grad is not None:
-                t.values -= lr * t.grad
+                np.multiply(t.grad, lr, out=t.grad)   # the grad is dropped below
+                t.values -= t.grad
                 t.grad = None
 
 

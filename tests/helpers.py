@@ -280,3 +280,114 @@ def ref_modify_entities(sentences: Sequence[TaggedSentence],
                 tags[i] = "I-" + resolved
         out.append(TaggedSentence(list(sent.tokens), tags))
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference contrastive step: the copy-per-step negative queue and the
+# unfused similarity and loss that the mirrored ring and the fused
+# build_msim and info_nce replace, with the training loop that used them
+# (it rotates the queue before backward, which a copying queue allows).
+
+class ref_NegativeQueue:
+    """FIFO of past key vectors, fixed size, oldest first.
+
+    A ring buffer: one preallocated (size, dim) array and the row index of
+    the eldest entry.
+    """
+
+    def __init__(self, size: int, dim: int, rng: np.random.Generator):
+        if size < 1:
+            raise ValueError(f"queue size must be >= 1, got {size}")
+        self.size = size
+        self.dim = dim
+        self._rows = rng.standard_normal((size, dim))
+        self._head = 0
+
+    def __len__(self):
+        return self.size
+
+    def rotate(self, key: np.ndarray):
+        """Dequeue the eldest vector, enqueue a copy of the new key."""
+        key = np.asarray(key, dtype=np.float64)
+        if key.shape != (self.dim,):
+            raise ValueError(f"key shape {key.shape} does not match queue dim {self.dim}")
+        self._rows[self._head] = key
+        self._head = (self._head + 1) % self.size
+
+    def as_matrix(self) -> np.ndarray:
+        """A fresh (size, dim) array, eldest row first."""
+        return np.concatenate((self._rows[self._head:], self._rows[:self._head]))
+
+
+def ref_build_msim(pos, queue, anchor, raw=False):
+    """Similarity vector [positive, negatives...] of length queue size + 1.
+
+    Queue entries are constants; gradients flow only through the anchor
+    (and whatever produced the positive score).
+    """
+    if queue is None or len(queue) == 0:
+        raise ValueError("negative queue is not initialized")
+    q = queue.as_matrix()
+    if raw:
+        a = anchor
+    else:
+        norms = np.linalg.norm(q, axis=1, keepdims=True)
+        q = np.where(norms > 1e-9, q / np.maximum(norms, 1e-30), 0.0)
+        a = ad.normalize(anchor)
+    negs = ad.matmul(ad.constant(q), a)
+    return ad.concat([pos, negs])
+
+
+def ref_info_nce(m, tau):
+    """Contrastive loss with the positive at index 0."""
+    if tau <= 0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    s = ad.scale(m, 1.0 / tau)
+    return ad.sub(ad.logsumexp(s), ad.index(s, 0))
+
+
+def ref_train_wcl(pairs, vocab, query, key, config,
+                  head_prefix="head.", enc_prefix="enc."):
+    """contrast.train_wcl on the reference queue, similarity and loss."""
+    from contrastner import encoder as enc
+    from contrastner.contrast import WclLog, project
+    from contrastner.params import sgd_step
+
+    config.validate()
+    if not pairs:
+        raise ValueError("no training pairs")
+    n_types = query[head_prefix + "b2"].values.shape[0]
+    rng = np.random.default_rng(config.seed)
+    queue = ref_NegativeQueue(config.queue_size, n_types, rng)
+    log = WclLog(queue=queue)
+    order = list(range(len(pairs)))
+    for epoch in range(config.epochs):
+        rng.shuffle(order)
+        total = 0.0
+        for idx in order:
+            pair = pairs[idx]
+            anchor = project(
+                query, enc.pool(enc.encode(query, vocab, pair.sentence, enc_prefix)),
+                head_prefix)
+            if not config.raw_dot:
+                anchor = ad.normalize(anchor)
+            with ad.no_grad():
+                pos_key = project(
+                    query, enc.pool(enc.encode(key, vocab, pair.positive, enc_prefix)),
+                    head_prefix)
+                if not config.raw_dot:
+                    pos_key = ad.normalize(pos_key)
+            pos = ad.dot(anchor, pos_key)
+            msim = ref_build_msim(pos, queue, anchor, raw=config.raw_dot)
+            queue.rotate(pos_key.values)
+            loss = ref_info_nce(msim, config.temperature)
+            if not np.isfinite(loss.values):
+                raise RuntimeError(
+                    f"non-finite loss at pair {idx}, epoch {epoch}")
+            ad.backward(loss)
+            sgd_step([query], config.lr)
+            enc.update_key(key, query, config.key_update, config.momentum)
+            log.steps += 1
+            total += loss.item()
+        log.epoch_losses.append(total / len(pairs))
+    return log

@@ -1,10 +1,14 @@
 """CLI subcommands: wiring, config files, exit codes, manifests."""
 import json
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contrastner import cli, kg, synth
+from contrastner import cli, encoder, kg, synth
 from contrastner.corpus import TaggedSentence, parse_conll, write_conll
 from contrastner.params import ParamStore, load_params, save_params
 
@@ -251,6 +255,68 @@ def test_predict_truncated_checkpoint_is_data_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@dataclass
+class FlipTarget:
+    root: Path
+    corpus: Path
+    blob: bytes = field(repr=False)
+    fields: list = field(repr=False)   # offsets of the bytes outside names and values
+
+
+@pytest.fixture(scope="module")
+def flip_target(tmp_path_factory):
+    """A small trained tagger, a corpus for predict, and the byte offsets of
+    every field of the checkpoint that is not a name or a value: the magic,
+    the version, and each name length, rank and dimension."""
+    root = tmp_path_factory.mktemp("flip")
+    corpus_path = write_corpus(root, "train.conll", small_corpus())
+    model = root / "model.bin"
+    assert cli.run(["train-ner", "--train", str(corpus_path), "--out", str(model),
+                    "--epochs", "1", "--emb", "3", "--enc-hidden", "2",
+                    "--hidden", "2"]) == 0
+    blob = model.read_bytes()
+    fields, pos = list(range(8)), 8
+    for name, t in load_params(model).items():
+        fields += range(pos, pos + 4)
+        pos += 4 + len(name.encode("utf-8"))
+        fields += range(pos, pos + 4 + 4 * t.values.ndim)
+        pos += 4 + 4 * t.values.ndim + 8 * t.values.size
+    assert pos == len(blob)
+    for name in ("flip.bin.vocab", "flip.bin.tags"):
+        (root / name).write_bytes((root / name.replace("flip", "model")).read_bytes())
+    return FlipTarget(root, corpus_path, blob, fields)
+
+
+def predict_flipped(target: FlipTarget, offsets, data) -> int:
+    """predict on the checkpoint with each byte at offsets xor-ed with a
+    non-zero mask drawn from data."""
+    flipped = bytearray(target.blob)
+    for at in offsets:
+        flipped[at] ^= data.draw(st.integers(1, 255), label=f"mask at {at}")
+    (target.root / "flip.bin").write_bytes(bytes(flipped))
+    return cli.run(["predict", "--model", str(target.root / "flip.bin"), "--test",
+                    str(target.corpus), "--out", str(target.root / "pred.conll")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_predict_bit_flipped_checkpoint_exits_0_or_2(flip_target, data):
+    offsets = data.draw(st.lists(st.integers(0, len(flip_target.blob) - 1),
+                                 min_size=1, max_size=4, unique=True), label="offsets")
+    rc = predict_flipped(flip_target, offsets, data)
+    assert rc in (0, 2)
+    if set(offsets) & set(flip_target.fields):
+        assert rc == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_predict_checkpoint_with_a_flipped_field_is_data_error(flip_target, data):
+    offsets = data.draw(st.lists(st.sampled_from(flip_target.fields),
+                                 min_size=1, max_size=2, unique=True), label="offsets")
+    assert predict_flipped(flip_target, offsets, data) == 2
+
+
 def test_non_utf8_corpus_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.conll"
     bad.write_bytes(b"caf\xff B-LOC\n")
@@ -287,6 +353,45 @@ def test_train_ner_warm_start_from_wcl(tmp_path, capsys):
     warm = load_params(model)
     wcl = load_params(enc_out)
     assert np.array_equal(warm["enc.embed"].values, wcl["enc.embed"].values)
+
+
+def wcl_checkpoint_and_ner_corpus(tmp_path):
+    """A small train-wcl checkpoint and a train-ner corpus to warm-start on it."""
+    enc_out = tmp_path / "enc.bin"
+    assert cli.run(["train-wcl", "--pairs", str(write_pairs(tmp_path)), "--out",
+                    str(enc_out), "--epochs", "1", "--queue", "4", "--emb", "8",
+                    "--enc-hidden", "4"]) == 0
+    train, _ = synth.ner_fixture(seed=0, n_train=10, n_test=1)
+    return enc_out, train
+
+
+def test_train_ner_encoder_with_inconsistent_shape_is_data_error(tmp_path, capsys):
+    enc_out, train = wcl_checkpoint_and_ner_corpus(tmp_path)
+    rewrite_param(enc_out, "enc.fwd.w_x", lambda v: v[:, :-1])
+    rc = cli.run(["train-ner", "--train", str(write_corpus(tmp_path, "t.conll", train)),
+                  "--encoder", str(enc_out), "--out", str(tmp_path / "warm.bin"),
+                  "--epochs", "1", "--hidden", "4"])
+    assert rc == 2
+    assert "enc.fwd.w_x" in capsys.readouterr().err
+
+
+def test_train_ner_encoder_with_nan_in_unused_embedding_row_is_data_error(tmp_path, capsys):
+    enc_out, train = wcl_checkpoint_and_ner_corpus(tmp_path)
+    vocab = encoder.Vocab.load(str(enc_out) + ".vocab")
+    seen = {tok for s in train for tok in s.tokens}
+    unused = next(i for i in range(len(vocab) - 1, 1, -1) if vocab.token_of(i) not in seen)
+
+    def poison(v):
+        v[unused, 0] = np.nan
+        return v
+    rewrite_param(enc_out, "enc.embed", poison)
+    model = tmp_path / "warm.bin"
+    rc = cli.run(["train-ner", "--train", str(write_corpus(tmp_path, "t.conll", train)),
+                  "--encoder", str(enc_out), "--out", str(model),
+                  "--epochs", "1", "--hidden", "4"])
+    assert rc == 2
+    assert "enc.embed holds a non-finite value" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_correct_without_kg_is_identity(tmp_path, capsys):

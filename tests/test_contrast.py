@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contrastner import autodiff as ad
 from contrastner import contrast as ct
 from contrastner import encoder as enc
+from contrastner import synth
 from contrastner.corpus import SentencePair
 from contrastner.params import ParamStore
 
-from helpers import check_gradients
+from helpers import (check_gradients, ref_build_msim, ref_info_nce, ref_NegativeQueue,
+                     ref_train_wcl)
 
 
 def identity_head(d: int) -> ParamStore:
@@ -123,6 +127,15 @@ def test_queue_rejects_bad_shapes():
     q = ct.NegativeQueue(2, 2, rng)
     with pytest.raises(ValueError):
         q.rotate(np.zeros(3))
+
+
+def test_queue_matrix_is_a_read_only_view():
+    q = ct.NegativeQueue(3, 2, np.random.default_rng(12))
+    for read in (q.as_matrix, q.unit_matrix):
+        m = read()
+        assert not m.flags.writeable and not m.flags.owndata
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
 
 
 def test_build_msim_orthogonal_negative():
@@ -317,3 +330,88 @@ def test_train_wcl_loss_decreases_on_paraphrase_fixture():
     config = ct.WclConfig(epochs=5, queue_size=256, lr=0.1, seed=0)
     log = ct.train_wcl(pairs, vocab, store, key, config)
     assert log.epoch_losses[-1] < log.epoch_losses[0]
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(size=st.integers(1, 64), dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       p_raw=st.sampled_from([0.0, 0.5, 1.0]), tau=st.floats(0.05, 2.0))
+def test_queue_similarity_and_loss_match_reference_bit_for_bit(size, dim, seed, p_raw, tau):
+    # The reference runs in the old order (rotate, then backward); the new
+    # queue rotates after backward. Some steps score in raw mode, so the
+    # unit rows are first read after a random number of rotations. Some
+    # keys are zero or below the 1e-9 norm floor.
+    rng = np.random.default_rng(seed)
+    new, ref = ct.NegativeQueue(size, dim, np.random.default_rng(seed)), \
+        ref_NegativeQueue(size, dim, np.random.default_rng(seed))
+    for step in range(2 * size + int(rng.integers(0, size + 1))):
+        raw = bool(rng.random() < p_raw)
+        a0, p0 = rng.normal(size=dim), float(rng.normal())
+        key = rng.normal(size=dim) * rng.choice([0.0, 1e-12, 1.0], p=[0.05, 0.05, 0.9])
+        results = []
+        for queue, msim_of, loss_of in ((new, ct.build_msim, ct.info_nce),
+                                        (ref, ref_build_msim, ref_info_nce)):
+            anchor, pos = ad.Tensor(a0, requires_grad=True), ad.Tensor(p0, requires_grad=True)
+            msim = msim_of(pos, queue, anchor, raw=raw)
+            if queue is ref:
+                queue.rotate(key)
+            loss = loss_of(msim, tau)
+            ad.backward(loss)
+            if queue is new:
+                queue.rotate(key)
+            results.append([bits(x) for x in (msim.values, loss.values, msim.grad,
+                                              anchor.grad, pos.grad, queue.as_matrix())])
+        assert results[0] == results[1], f"step {step}"
+
+
+@pytest.mark.parametrize("raw_dot", [False, True])
+def test_train_wcl_matches_reference_loop_bit_for_bit(raw_dot):
+    pairs = synth.pairs_fixture(seed=0, n_pairs=40)
+    vocab = enc.Vocab.from_sentences(
+        [p.sentence for p in pairs] + [p.positive for p in pairs])
+    runs = []
+    for train in (ct.train_wcl, ref_train_wcl):
+        store = ParamStore()
+        rng = np.random.default_rng(0)
+        enc.init_encoder(store, "enc.", len(vocab), emb_dim=8, hidden=4, rng=rng)
+        ct.init_head(store, enc.output_dim(store, "enc."), 4, rng=rng)
+        key = enc.init_key_from_query(store, "enc.")
+        config = ct.WclConfig(epochs=2, queue_size=64, lr=0.1, seed=3, raw_dot=raw_dot)
+        log = train(pairs, vocab, store, key, config)
+        runs.append(([bits(t.values) for t in store.tensors() + key.tensors()],
+                     log.epoch_losses, bits(log.queue.as_matrix())))
+    assert runs[0] == runs[1]
+
+
+def test_rotating_before_backward_raises():
+    rng = np.random.default_rng(13)
+    for rotations in (1, 3):          # 3 is a full wrap: head is back where it was
+        q = ct.NegativeQueue(3, 2, rng)
+        anchor = ad.Tensor(rng.normal(size=2), requires_grad=True)
+        loss = ct.info_nce(ct.build_msim(ad.constant(0.5), q, anchor), 0.1)
+        for _ in range(rotations):
+            q.rotate(rng.normal(size=2))
+        with pytest.raises(ct.StaleQueueError, match="rotate after backward"):
+            ad.backward(loss)
+        assert ad.tape_size() == 0
+    assert issubclass(ct.StaleQueueError, RuntimeError)
+
+
+def test_train_wcl_tape_is_fifteen_entries_per_pair(monkeypatch):
+    # encode and pool 5 (gather, two scans, concat, mean), project 5, the
+    # anchor's normalize, the positive's dot, build_msim 2 (its normalize
+    # and one fused op) and info_nce 1, whatever the queue size
+    sizes = []
+    backward = ad.backward
+
+    def counting_backward(loss):
+        sizes.append(ad.tape_size())
+        backward(loss)
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    vocab, store, key = make_wcl_setup()
+    pairs = [SentencePair([f"w{i}", "w0", "w9"][:1 + i % 3], [f"w{i}"]) for i in range(6)]
+    ct.train_wcl(pairs, vocab, store, key, ct.WclConfig(epochs=2, queue_size=64))
+    assert sizes == [15] * 12
