@@ -178,6 +178,8 @@ def _types_list(ns) -> list:
     types = [t for t in ns.types.split(",") if t]
     if not types:
         raise ConfigError("--types must name at least one entity type")
+    if repeated := sorted({t for t in types if types.count(t) > 1}):
+        raise ConfigError(f"--types repeats {', '.join(repeated)}")
     return types
 
 

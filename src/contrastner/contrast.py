@@ -1,9 +1,9 @@
 """Contrastive fine-tuning of the sentence encoder.
 
 Each training pair contributes one anchor (query encoder) and one positive
-(key encoder, no gradients). The positive similarity is stacked on top of
-similarities against a fixed-size FIFO queue of past keys, and the loss is
-the InfoNCE objective with the positive at index 0:
+(key encoder, no gradients). The positive cosine similarity is stacked on
+top of cosines against a fixed-size FIFO queue of past keys, and the loss
+is the InfoNCE objective with the positive at index 0:
 
     loss = logsumexp(m / tau) - m[0] / tau
 
@@ -33,7 +33,6 @@ class WclConfig:
     seed: int = 0
     key_update: str = "momentum"
     momentum: float = 0.999
-    raw_dot: bool = False           # plain dot product instead of cosine
 
     def validate(self):
         if self.temperature <= 0:
@@ -57,24 +56,22 @@ class WclLog:
 
 
 def init_head(store: ParamStore, d_in: int, n_types: int,
-              rng: Optional[np.random.Generator] = None, prefix: str = "head."):
-    """Two-layer projection: d_in -> d_in (relu) -> n_types."""
+              rng: Optional[np.random.Generator] = None):
+    """Two-layer projection, parameters head.*: d_in -> d_in (relu) -> n_types."""
     rng = rng or np.random.default_rng(0)
-    store.add(prefix + "w1", rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_in, d_in)))
-    store.add(prefix + "b1", np.zeros(d_in))
-    store.add(prefix + "w2", rng.normal(0.0, 1.0 / np.sqrt(d_in), (n_types, d_in)))
-    store.add(prefix + "b2", np.zeros(n_types))
+    store.add("head.w1", rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_in, d_in)))
+    store.add("head.b1", np.zeros(d_in))
+    store.add("head.w2", rng.normal(0.0, 1.0 / np.sqrt(d_in), (n_types, d_in)))
+    store.add("head.b2", np.zeros(n_types))
 
 
-def project(store: ParamStore, v: ad.Tensor, prefix: str = "head.") -> ad.Tensor:
-    h = ad.relu(ad.add(ad.matmul(store[prefix + "w1"], v), store[prefix + "b1"]))
-    return ad.add(ad.matmul(store[prefix + "w2"], h), store[prefix + "b2"])
+def project(store: ParamStore, v: ad.Tensor) -> ad.Tensor:
+    h = ad.relu(ad.add(ad.matmul(store["head.w1"], v), store["head.b1"]))
+    return ad.add(ad.matmul(store["head.w2"], h), store["head.b2"])
 
 
-def similarity(a: ad.Tensor, b: ad.Tensor, raw: bool = False) -> ad.Tensor:
-    """Cosine by default: normalize both sides, then dot."""
-    if raw:
-        return ad.dot(a, b)
+def similarity(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """Cosine: normalize both sides, then dot."""
     return ad.dot(ad.normalize(a), ad.normalize(b))
 
 
@@ -145,8 +142,7 @@ class StaleQueueError(RuntimeError):
     """The queue rotated between build_msim and the backward pass."""
 
 
-def build_msim(pos: ad.Tensor, queue: NegativeQueue, anchor: ad.Tensor,
-               raw: bool = False) -> ad.Tensor:
+def build_msim(pos: ad.Tensor, queue: NegativeQueue, anchor: ad.Tensor) -> ad.Tensor:
     """Similarity vector [positive, negatives...] of length queue size + 1.
 
     Queue entries are constants; gradients flow only through the anchor
@@ -156,10 +152,7 @@ def build_msim(pos: ad.Tensor, queue: NegativeQueue, anchor: ad.Tensor,
     """
     if queue is None or len(queue) == 0:
         raise ValueError("negative queue is not initialized")
-    if raw:
-        q, a = queue.as_matrix(), anchor
-    else:
-        q, a = queue.unit_matrix(), ad.normalize(anchor)
+    q, a = queue.unit_matrix(), ad.normalize(anchor)
     out = np.empty(len(queue) + 1)
     out[0] = pos.values
     out[1:] = q @ a.values
@@ -195,8 +188,7 @@ def info_nce(m: ad.Tensor, tau: float) -> ad.Tensor:
 
 
 def train_wcl(pairs: Sequence[SentencePair], vocab: enc.Vocab,
-              query: ParamStore, key: ParamStore, config: WclConfig,
-              head_prefix: str = "head.", enc_prefix: str = "enc.") -> WclLog:
+              query: ParamStore, key: ParamStore, config: WclConfig) -> WclLog:
     """Fine-tune the query encoder and head on sentence pairs.
 
     Per pair: project and normalize both sides (key side without taping),
@@ -207,7 +199,7 @@ def train_wcl(pairs: Sequence[SentencePair], vocab: enc.Vocab,
     config.validate()
     if not pairs:
         raise ValueError("no training pairs")
-    n_types = query[head_prefix + "b2"].values.shape[0]
+    n_types = query["head.b2"].values.shape[0]
     rng = np.random.default_rng(config.seed)
     queue = NegativeQueue(config.queue_size, n_types, rng)
     log = WclLog(queue=queue)
@@ -217,19 +209,13 @@ def train_wcl(pairs: Sequence[SentencePair], vocab: enc.Vocab,
         total = 0.0
         for idx in order:
             pair = pairs[idx]
-            anchor = project(
-                query, enc.pool(enc.encode(query, vocab, pair.sentence, enc_prefix)),
-                head_prefix)
-            if not config.raw_dot:
-                anchor = ad.normalize(anchor)
+            anchor = ad.normalize(project(
+                query, enc.pool(enc.encode(query, vocab, pair.sentence))))
             with ad.no_grad():
-                pos_key = project(
-                    query, enc.pool(enc.encode(key, vocab, pair.positive, enc_prefix)),
-                    head_prefix)
-                if not config.raw_dot:
-                    pos_key = ad.normalize(pos_key)
+                pos_key = ad.normalize(project(
+                    query, enc.pool(enc.encode(key, vocab, pair.positive))))
             pos = ad.dot(anchor, pos_key)
-            msim = build_msim(pos, queue, anchor, raw=config.raw_dot)
+            msim = build_msim(pos, queue, anchor)
             loss = info_nce(msim, config.temperature)
             if not np.isfinite(loss.values):
                 raise RuntimeError(

@@ -67,13 +67,13 @@ def validate_tags(tags: Sequence[str], types: Optional[Iterable[str]] = None):
             raise ValueError(f"tag {tag!r} outside the configured types {sorted(allowed)}")
 
 
-def parse_conll(path, token_col: int = 0, tag_col: int = -1,
-                strict: bool = False, types: Optional[Iterable[str]] = None):
-    """Read a whitespace-column file into TaggedSentences.
+def parse_conll(path, strict: bool = False, types: Optional[Iterable[str]] = None):
+    """Read a whitespace-column file into TaggedSentences: the token is the
+    first field of a row and the tag the last.
 
     Blank lines end a sentence; lines whose first field is -DOCSTART- are
     skipped. With strict=True every tag must match the BIO grammar (over
-    `types` when given). Ragged rows raise DataError with the line number.
+    `types` when given), or DataError names the line.
     """
     sentences = []
     tokens: list = []
@@ -94,13 +94,7 @@ def parse_conll(path, token_col: int = 0, tag_col: int = -1,
             if fields[0] == "-DOCSTART-":
                 flush()
                 continue
-            ncols = len(fields)
-            for col in (token_col, tag_col):
-                if not -ncols <= col < ncols:
-                    raise DataError(
-                        f"row has {ncols} columns, column {col} requested",
-                        path=path, line=lineno)
-            token, tag = fields[token_col], fields[tag_col]
+            token, tag = fields[0], fields[-1]
             if strict:
                 try:
                     validate_tags([tag], types)

@@ -72,6 +72,8 @@ def init_encoder(store: ParamStore, prefix: str, vocab_size: int,
                  emb_dim: int = 64, hidden: int = 64,
                  rng: Optional[np.random.Generator] = None):
     """Add embedding and per-direction recurrent weights under a prefix."""
+    if emb_dim < 1 or hidden < 1:
+        raise ValueError(f"emb_dim and hidden must be >= 1, got {emb_dim} and {hidden}")
     rng = rng or np.random.default_rng(0)
     store.add(prefix + "embed", rng.normal(0.0, 0.5, (vocab_size, emb_dim)))
     for d in ("fwd", "bwd"):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
-from .corpus import TaggedSentence, bio_to_spans, parse_conll
+from .corpus import DataError, TaggedSentence, bio_to_spans, parse_conll
 
 
 @dataclass
@@ -35,13 +35,14 @@ class EvalReport:
 
 def count_matches(gold: Sequence[TaggedSentence],
                   pred: Sequence[TaggedSentence]) -> EvalCounts:
-    """Tally exact span matches between aligned sentence lists."""
+    """Tally exact span matches between aligned sentence lists; DataError
+    when they differ in sentence count or in any sentence's tokens."""
     if len(gold) != len(pred):
-        raise ValueError(f"{len(gold)} gold sentences vs {len(pred)} predicted")
+        raise DataError(f"{len(gold)} gold sentences vs {len(pred)} predicted")
     counts = EvalCounts()
     for i, (g, p) in enumerate(zip(gold, pred)):
         if g.tokens != p.tokens:
-            raise ValueError(f"sentence {i}: gold and predicted tokens differ")
+            raise DataError(f"sentence {i}: gold and predicted tokens differ")
         counts.tokens += len(g)
         counts.correct_tokens += sum(a == b for a, b in zip(g.tags, p.tags))
         gspans = bio_to_spans(g.tags)
@@ -105,4 +106,10 @@ def report(gold: Sequence[TaggedSentence], pred: Sequence[TaggedSentence]) -> st
 
 
 def report_files(gold_path, pred_path) -> str:
-    return report(parse_conll(gold_path), parse_conll(pred_path))
+    """report on two CoNLL files; a misalignment names the predictions."""
+    gold, pred = parse_conll(gold_path), parse_conll(pred_path)
+    try:
+        counts = count_matches(gold, pred)
+    except DataError as e:
+        raise DataError(str(e), path=pred_path) from None
+    return format_report(prf(counts))

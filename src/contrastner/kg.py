@@ -29,23 +29,20 @@ DEFAULT_TYPE_MAP = {
 class TypeMap:
     """Maps knowledge-graph type labels onto dataset entity types.
 
-    policy="drop" silently discards unmapped labels; policy="error"
-    raises on the first one. An IRI whose trailing segment matches a
-    mapped label (…/ontology/Person) maps like the label itself.
+    Unmapped labels map to None, which callers drop. An IRI whose trailing
+    segment matches a mapped label (…/ontology/Person) maps like the label
+    itself.
     """
 
-    def __init__(self, mapping: dict, policy: str = "drop"):
-        if policy not in ("drop", "error"):
-            raise ValueError(f"policy must be 'drop' or 'error', got {policy!r}")
+    def __init__(self, mapping: dict):
         self.mapping = dict(mapping)
-        self.policy = policy
 
     @classmethod
     def default_conll(cls) -> "TypeMap":
         return cls(DEFAULT_TYPE_MAP)
 
     @classmethod
-    def load(cls, path, policy: str = "drop") -> "TypeMap":
+    def load(cls, path) -> "TypeMap":
         """TSV of kg-type<TAB>dataset-type, one per line."""
         mapping = {}
         with open(path, encoding="utf-8") as f:
@@ -58,17 +55,13 @@ class TypeMap:
                     raise DataError("expected kg-type<TAB>dataset-type",
                                     path=path, line=lineno)
                 mapping[parts[0]] = parts[1]
-        return cls(mapping, policy)
+        return cls(mapping)
 
     def map(self, kg_type: str) -> Optional[str]:
         if kg_type in self.mapping:
             return self.mapping[kg_type]
         tail = kg_type.rsplit("/", 1)[-1].rsplit("#", 1)[-1]
-        if tail in self.mapping:
-            return self.mapping[tail]
-        if self.policy == "error":
-            raise ValueError(f"no dataset type for knowledge-graph type {kg_type!r}")
-        return None
+        return self.mapping.get(tail)
 
 
 class KgIndex:
@@ -93,26 +86,22 @@ class KgIndex:
         return len(self._index)
 
 
-def load_snapshot(path, typemap: Optional[TypeMap] = None,
-                  strict: bool = False) -> KgIndex:
+def load_snapshot(path, typemap: Optional[TypeMap] = None) -> KgIndex:
     """Read a TSV snapshot of surface<TAB>kg-type entries.
 
     Types are mapped through the TypeMap at load time (default CoNLL map).
-    Malformed lines raise with the line number when strict, otherwise they
-    are counted and skipped. Surfaces are whitespace-normalized.
+    Malformed lines are counted in skipped_lines and skipped. Surfaces are
+    whitespace-normalized.
     """
     typemap = typemap or TypeMap.default_conll()
     index = KgIndex()
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
+        for line in f:
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0].split() or not parts[1].strip():
-                if strict:
-                    raise DataError("expected surface<TAB>type",
-                                    path=path, line=lineno)
                 index.skipped_lines += 1
                 continue
             surface = " ".join(parts[0].split())

@@ -262,16 +262,14 @@ def _masked_trans(store: ParamStore, tag_list, strict: bool):
 
 def sentence_nll(store: ParamStore, vocab: enc.Vocab, sent: TaggedSentence,
                  tag_ids: Sequence[int], strict: bool = False,
-                 tag_list: Optional[Sequence[str]] = None,
-                 enc_prefix: str = "enc.") -> ad.Tensor:
-    feats = bilstm_forward(store, enc.encode(store, vocab, sent.tokens, enc_prefix))
+                 tag_list: Optional[Sequence[str]] = None) -> ad.Tensor:
+    feats = bilstm_forward(store, enc.encode(store, vocab, sent.tokens))
     emis = emissions(store, feats)
     return crf_nll(emis, _masked_trans(store, tag_list, strict), tag_ids)
 
 
 def train_ner(sentences: Sequence[TaggedSentence], vocab: enc.Vocab,
-              store: ParamStore, tag_list: Sequence[str], config: NerConfig,
-              enc_prefix: str = "enc.") -> NerLog:
+              store: ParamStore, tag_list: Sequence[str], config: NerConfig) -> NerLog:
     """Fit the tagger (and optionally the encoder) by per-sentence SGD.
 
     Zero epochs leave every parameter untouched. A non-finite loss aborts
@@ -287,7 +285,7 @@ def train_ner(sentences: Sequence[TaggedSentence], vocab: enc.Vocab,
             gold.append([tag_ids[t] for t in sent.tags])
         except KeyError as e:
             raise ValueError(f"tag {e.args[0]!r} not in the tag inventory") from None
-    frozen = [] if config.train_encoder else list(store.subset(enc_prefix).items())
+    frozen = [] if config.train_encoder else list(store.subset("enc.").items())
     for _, t in frozen:
         t.requires_grad = False  # keeps encoder ops off the tape entirely
     rng = np.random.default_rng(config.seed)
@@ -299,7 +297,7 @@ def train_ner(sentences: Sequence[TaggedSentence], vocab: enc.Vocab,
             total = 0.0
             for idx in order:
                 loss = sentence_nll(store, vocab, sentences[idx], gold[idx],
-                                    config.strict, tag_list, enc_prefix)
+                                    config.strict, tag_list)
                 if not np.isfinite(loss.values):
                     raise RuntimeError(f"non-finite loss at epoch {epoch}, sentence {idx}")
                 ad.backward(loss)
@@ -327,8 +325,7 @@ def _length_sorted_chunks(token_lists) -> list:
 
 
 def predict(sentences, vocab: enc.Vocab, store: ParamStore,
-            tag_list: Sequence[str], strict: bool = False,
-            enc_prefix: str = "enc.") -> list:
+            tag_list: Sequence[str], strict: bool = False) -> list:
     """Viterbi-decode token lists (or TaggedSentences) into TaggedSentences.
 
     Sentences are decoded in length-sorted chunks, one packed encoder,
@@ -345,7 +342,7 @@ def predict(sentences, vocab: enc.Vocab, store: ParamStore,
             lengths = [len(token_lists[i]) for i in chunk]
             tokens = [tok for i in chunk for tok in token_lists[i]]
             feats = bilstm_forward(
-                store, enc.encode(store, vocab, tokens, enc_prefix, lengths), lengths)
+                store, enc.encode(store, vocab, tokens, lengths=lengths), lengths)
             paths = viterbi_packed(emissions(store, feats).values, trans, lengths)
             for i, path in zip(chunk, paths):
                 out[i] = TaggedSentence(token_lists[i], [tag_list[t] for t in path.ids])

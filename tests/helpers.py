@@ -319,7 +319,7 @@ class ref_NegativeQueue:
         return np.concatenate((self._rows[self._head:], self._rows[:self._head]))
 
 
-def ref_build_msim(pos, queue, anchor, raw=False):
+def ref_build_msim(pos, queue, anchor):
     """Similarity vector [positive, negatives...] of length queue size + 1.
 
     Queue entries are constants; gradients flow only through the anchor
@@ -328,12 +328,9 @@ def ref_build_msim(pos, queue, anchor, raw=False):
     if queue is None or len(queue) == 0:
         raise ValueError("negative queue is not initialized")
     q = queue.as_matrix()
-    if raw:
-        a = anchor
-    else:
-        norms = np.linalg.norm(q, axis=1, keepdims=True)
-        q = np.where(norms > 1e-9, q / np.maximum(norms, 1e-30), 0.0)
-        a = ad.normalize(anchor)
+    norms = np.linalg.norm(q, axis=1, keepdims=True)
+    q = np.where(norms > 1e-9, q / np.maximum(norms, 1e-30), 0.0)
+    a = ad.normalize(anchor)
     negs = ad.matmul(ad.constant(q), a)
     return ad.concat([pos, negs])
 
@@ -346,8 +343,7 @@ def ref_info_nce(m, tau):
     return ad.sub(ad.logsumexp(s), ad.index(s, 0))
 
 
-def ref_train_wcl(pairs, vocab, query, key, config,
-                  head_prefix="head.", enc_prefix="enc."):
+def ref_train_wcl(pairs, vocab, query, key, config):
     """contrast.train_wcl on the reference queue, similarity and loss."""
     from contrastner import encoder as enc
     from contrastner.contrast import WclLog, project
@@ -356,7 +352,7 @@ def ref_train_wcl(pairs, vocab, query, key, config,
     config.validate()
     if not pairs:
         raise ValueError("no training pairs")
-    n_types = query[head_prefix + "b2"].values.shape[0]
+    n_types = query["head.b2"].values.shape[0]
     rng = np.random.default_rng(config.seed)
     queue = ref_NegativeQueue(config.queue_size, n_types, rng)
     log = WclLog(queue=queue)
@@ -367,18 +363,14 @@ def ref_train_wcl(pairs, vocab, query, key, config,
         for idx in order:
             pair = pairs[idx]
             anchor = project(
-                query, enc.pool(enc.encode(query, vocab, pair.sentence, enc_prefix)),
-                head_prefix)
-            if not config.raw_dot:
-                anchor = ad.normalize(anchor)
+                query, enc.pool(enc.encode(query, vocab, pair.sentence)))
+            anchor = ad.normalize(anchor)
             with ad.no_grad():
                 pos_key = project(
-                    query, enc.pool(enc.encode(key, vocab, pair.positive, enc_prefix)),
-                    head_prefix)
-                if not config.raw_dot:
-                    pos_key = ad.normalize(pos_key)
+                    query, enc.pool(enc.encode(key, vocab, pair.positive)))
+                pos_key = ad.normalize(pos_key)
             pos = ad.dot(anchor, pos_key)
-            msim = ref_build_msim(pos, queue, anchor, raw=config.raw_dot)
+            msim = ref_build_msim(pos, queue, anchor)
             queue.rotate(pos_key.values)
             loss = ref_info_nce(msim, config.temperature)
             if not np.isfinite(loss.values):

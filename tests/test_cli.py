@@ -96,9 +96,19 @@ def test_eval_requires_both_files(capsys):
 def test_eval_misaligned_files_are_data_error(tmp_path, capsys):
     gold = write_corpus(tmp_path, "gold.conll", small_corpus())
     pred = write_corpus(tmp_path, "pred.conll", small_corpus()[:1])
-    # alignment violation is a ValueError from count_matches: exit 1
-    assert cli.run(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
-    capsys.readouterr()
+    assert cli.run(["eval", "--gold", str(gold), "--pred", str(pred)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: data: {pred}: 2 gold sentences vs 1 predicted" in err
+
+
+def test_eval_token_mismatch_is_data_error(tmp_path, capsys):
+    sents = small_corpus()
+    gold = write_corpus(tmp_path, "gold.conll", sents)
+    sents[1] = TaggedSentence(["visit", "rome"], ["O", "B-LOC"])
+    pred = write_corpus(tmp_path, "pred.conll", sents)
+    assert cli.run(["eval", "--gold", str(gold), "--pred", str(pred)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: data: {pred}: sentence 1: gold and predicted tokens differ" in err
 
 
 def test_train_wcl_writes_checkpoint_and_sidecars(tmp_path, capsys):
@@ -139,6 +149,33 @@ def test_train_wcl_validates_config(tmp_path, capsys):
                   "--out", str(tmp_path / "x.bin"), "--tau", "-1"])
     assert rc == 1
     capsys.readouterr()
+
+
+def training_input(tmp_path, command) -> list:
+    if command == "train-ner":
+        return ["--train", str(write_corpus(tmp_path, "train.conll", small_corpus()))]
+    return ["--pairs", str(write_pairs(tmp_path))]
+
+
+@pytest.mark.parametrize("command", ["train-ner", "train-wcl"])
+@pytest.mark.parametrize("flag", ["--emb", "--enc-hidden"])
+def test_zero_encoder_width_is_config_error(tmp_path, capsys, command, flag):
+    data = training_input(tmp_path, command)
+    out = tmp_path / "m.bin"
+    assert cli.run([command, *data, "--out", str(out), "--epochs", "1",
+                    "--emb", "4", "--enc-hidden", "4", flag, "0"]) == 1
+    assert "error: config: emb_dim and hidden must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-ner", "train-wcl"])
+def test_repeated_types_is_config_error(tmp_path, capsys, command):
+    data = training_input(tmp_path, command)
+    out = tmp_path / "m.bin"
+    assert cli.run([command, *data, "--out", str(out), "--epochs", "0",
+                    "--types", "PER,PER,LOC,ORG,MISC"]) == 1
+    assert "error: config: --types repeats PER" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def full_small_pipeline(tmp_path, capsys, seed="0"):

@@ -84,12 +84,6 @@ def test_similarity_range_and_zero_vector():
     assert ct.similarity(z, ad.constant([1.0, 0.0, 0.0, 0.0])).item() == 0.0
 
 
-def test_similarity_raw_mode_is_plain_dot():
-    a = ad.constant([2.0, 0.0])
-    b = ad.constant([3.0, 4.0])
-    assert ct.similarity(a, b, raw=True).item() == 6.0
-
-
 def test_queue_size_invariant_and_fifo():
     rng = np.random.default_rng(3)
     q = ct.NegativeQueue(3, 2, rng)
@@ -338,24 +332,30 @@ def bits(a) -> bytes:
 
 @settings(max_examples=120, deadline=None)
 @given(size=st.integers(1, 64), dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
-       p_raw=st.sampled_from([0.0, 0.5, 1.0]), tau=st.floats(0.05, 2.0))
-def test_queue_similarity_and_loss_match_reference_bit_for_bit(size, dim, seed, p_raw, tau):
+       tau=st.floats(0.05, 2.0))
+def test_queue_similarity_and_loss_match_reference_bit_for_bit(size, dim, seed, tau):
     # The reference runs in the old order (rotate, then backward); the new
-    # queue rotates after backward. Some steps score in raw mode, so the
-    # unit rows are first read after a random number of rotations. Some
-    # keys are zero or below the 1e-9 norm floor.
+    # queue rotates after backward. Both queues first rotate a drawn 0..size
+    # times unscored, so the unit rows are first read after a random number
+    # of rotations. Some keys are zero or below the 1e-9 norm floor.
     rng = np.random.default_rng(seed)
     new, ref = ct.NegativeQueue(size, dim, np.random.default_rng(seed)), \
         ref_NegativeQueue(size, dim, np.random.default_rng(seed))
+
+    def draw_key():
+        return rng.normal(size=dim) * rng.choice([0.0, 1e-12, 1.0], p=[0.05, 0.05, 0.9])
+    for _ in range(int(rng.integers(0, size + 1))):
+        key = draw_key()
+        new.rotate(key)
+        ref.rotate(key)
     for step in range(2 * size + int(rng.integers(0, size + 1))):
-        raw = bool(rng.random() < p_raw)
         a0, p0 = rng.normal(size=dim), float(rng.normal())
-        key = rng.normal(size=dim) * rng.choice([0.0, 1e-12, 1.0], p=[0.05, 0.05, 0.9])
+        key = draw_key()
         results = []
         for queue, msim_of, loss_of in ((new, ct.build_msim, ct.info_nce),
                                         (ref, ref_build_msim, ref_info_nce)):
             anchor, pos = ad.Tensor(a0, requires_grad=True), ad.Tensor(p0, requires_grad=True)
-            msim = msim_of(pos, queue, anchor, raw=raw)
+            msim = msim_of(pos, queue, anchor)
             if queue is ref:
                 queue.rotate(key)
             loss = loss_of(msim, tau)
@@ -367,8 +367,7 @@ def test_queue_similarity_and_loss_match_reference_bit_for_bit(size, dim, seed, 
         assert results[0] == results[1], f"step {step}"
 
 
-@pytest.mark.parametrize("raw_dot", [False, True])
-def test_train_wcl_matches_reference_loop_bit_for_bit(raw_dot):
+def test_train_wcl_matches_reference_loop_bit_for_bit():
     pairs = synth.pairs_fixture(seed=0, n_pairs=40)
     vocab = enc.Vocab.from_sentences(
         [p.sentence for p in pairs] + [p.positive for p in pairs])
@@ -379,7 +378,7 @@ def test_train_wcl_matches_reference_loop_bit_for_bit(raw_dot):
         enc.init_encoder(store, "enc.", len(vocab), emb_dim=8, hidden=4, rng=rng)
         ct.init_head(store, enc.output_dim(store, "enc."), 4, rng=rng)
         key = enc.init_key_from_query(store, "enc.")
-        config = ct.WclConfig(epochs=2, queue_size=64, lr=0.1, seed=3, raw_dot=raw_dot)
+        config = ct.WclConfig(epochs=2, queue_size=64, lr=0.1, seed=3)
         log = train(pairs, vocab, store, key, config)
         runs.append(([bits(t.values) for t in store.tensors() + key.tensors()],
                      log.epoch_losses, bits(log.queue.as_matrix())))

@@ -74,15 +74,6 @@ def test_parse_skips_docstart(tmp_path):
     assert sents[0].tokens == ["a", "b"]
 
 
-def test_parse_ragged_line_reports_line_number(tmp_path):
-    path = tmp_path / "ragged.conll"
-    path.write_text("a O\nb\nc O\n")
-    with pytest.raises(DataError) as exc:
-        parse_conll(path, token_col=0, tag_col=1)
-    assert exc.value.line == 2
-    assert "2" in str(exc.value)
-
-
 def test_parse_strict_rejects_unknown_tag(tmp_path):
     path = tmp_path / "bad.conll"
     path.write_text("a O\nb B-XYZ\n")
@@ -91,15 +82,6 @@ def test_parse_strict_rejects_unknown_tag(tmp_path):
     assert exc.value.line == 2
     # lax mode accepts any well-formed tag
     assert len(parse_conll(path)) == 1
-
-
-def test_parse_column_selection(tmp_path):
-    path = tmp_path / "cols.conll"
-    path.write_text("a NNP x B-PER\nb NN y O\n")
-    sents = parse_conll(path, token_col=0, tag_col=3)
-    assert sents[0].tags == ["B-PER", "O"]
-    sents = parse_conll(path, token_col=2, tag_col=-1)
-    assert sents[0].tokens == ["x", "y"]
 
 
 def test_validate_tags():

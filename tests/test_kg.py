@@ -29,15 +29,6 @@ def test_typemap_default_and_iri_tail():
     assert tm.map("Holiday") is None
 
 
-def test_typemap_error_policy():
-    tm = kg.TypeMap({"Person": "PER"}, policy="error")
-    assert tm.map("Person") == "PER"
-    with pytest.raises(ValueError):
-        tm.map("Holiday")
-    with pytest.raises(ValueError):
-        kg.TypeMap({}, policy="maybe")
-
-
 def test_typemap_load(tmp_path):
     path = tmp_path / "map.tsv"
     path.write_text("Person\tPER\nCompany\tORG\n")
@@ -72,15 +63,12 @@ def test_load_snapshot_drop_and_skip_counts(tmp_path):
     path = snapshot(tmp_path, [
         "Paris\tPlace",
         "Tuesday\tDay",          # unmapped type, dropped
-        "not a real line",       # malformed, skipped when lenient
+        "not a real line",       # malformed, skipped
     ])
     index = kg.load_snapshot(path)
     assert index.lookup("Paris") == ("LOC",)
     assert index.dropped == 1
     assert index.skipped_lines == 1
-    with pytest.raises(DataError) as exc:
-        kg.load_snapshot(path, strict=True)
-    assert exc.value.line == 3
 
 
 def test_load_snapshot_normalizes_whitespace(tmp_path):
