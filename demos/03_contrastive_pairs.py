@@ -18,7 +18,7 @@ from contrastner.params import ParamStore
 
 
 def mean_similarities(pairs, vocab, query, key, queue):
-    qn = queue.unit_matrix()
+    qn = queue.as_matrix()
     pos, neg = [], []
     with ad.no_grad():
         for pair in pairs:

@@ -252,8 +252,7 @@ def _cmd_train_wcl(ns) -> int:
 def _cmd_train_ner(ns) -> int:
     _require(ns, "train", "out")
     config = tagger.NerConfig(epochs=ns.epochs, lr=ns.lr, seed=ns.seed,
-                              hidden=ns.hidden, train_encoder=not ns.freeze_encoder,
-                              strict=ns.strict)
+                              train_encoder=not ns.freeze_encoder, strict=ns.strict)
     config.validate()
     types = _types_list(ns)
     tag_list = tagger.bio_tag_list(types)
@@ -292,13 +291,20 @@ def _cmd_train_ner(ns) -> int:
 
 
 def _load_tag_list(model_path) -> list:
+    path = str(model_path) + ".tags"
     try:
-        with open(str(model_path) + ".tags", encoding="utf-8") as f:
+        with open(path, encoding="utf-8") as f:
             tags = [line.strip() for line in f if line.strip()]
     except FileNotFoundError:
-        raise DataError("missing tags sidecar", path=str(model_path) + ".tags") from None
+        raise DataError("missing tags sidecar", path=path) from None
     if not tags:
-        raise DataError("empty tags sidecar", path=str(model_path) + ".tags")
+        raise DataError("empty tags sidecar", path=path)
+    try:
+        corpus.validate_tags(tags)
+    except ValueError as e:
+        raise DataError(str(e), path=path) from None
+    if repeated := sorted({t for t in tags if tags.count(t) > 1}):
+        raise DataError(f"repeats {', '.join(repeated)}", path=path)
     return tags
 
 

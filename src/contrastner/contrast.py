@@ -76,15 +76,14 @@ def similarity(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
 
 
 class NegativeQueue:
-    """FIFO of past key vectors, fixed size, oldest first.
+    """FIFO of past key vectors at unit length, fixed size, oldest first.
 
     A mirrored ring: every row is held twice, at i and at i + size, in one
     (2 * size, dim) buffer, and head is the row index of the eldest entry.
     rows[head:head + size] is then the whole queue, eldest first, as a
-    contiguous view. A rotation writes one key twice and moves head. The
-    unit rows (for cosine scores) are kept the same way, computed on first
-    read and then one row per rotation. rotations counts every rotation, so
-    that a holder of a view can tell that the queue has moved since.
+    contiguous view. A rotation writes the unit key twice and moves head.
+    rotations counts every rotation, so that a holder of a view can tell
+    that the queue has moved since.
     """
 
     def __init__(self, size: int, dim: int, rng: np.random.Generator):
@@ -92,10 +91,8 @@ class NegativeQueue:
             raise ValueError(f"queue size must be >= 1, got {size}")
         self.size = size
         self.dim = dim
-        self._rows = np.empty((2 * size, dim))
-        rng.standard_normal(out=self._rows[:size])
-        self._rows[size:] = self._rows[:size]
-        self._units = None
+        units = _unit_rows(rng.standard_normal((size, dim)))
+        self._rows = np.concatenate((units, units))
         self._head = 0
         self.rotations = 0
 
@@ -103,31 +100,19 @@ class NegativeQueue:
         return self.size
 
     def rotate(self, key: np.ndarray):
-        """Dequeue the eldest vector, enqueue a copy of the new key."""
+        """Dequeue the eldest vector, enqueue the new key at unit length."""
         key = np.asarray(key, dtype=np.float64)
         if key.shape != (self.dim,):
             raise ValueError(f"key shape {key.shape} does not match queue dim {self.dim}")
-        h, mirror = self._head, self._head + self.size
-        self._rows[h] = self._rows[mirror] = key
-        if self._units is not None:
-            self._units[h] = self._units[mirror] = _unit_rows(key[None, :])[0]
-        self._head = (self._head + 1) % self.size
+        h = self._head
+        self._rows[h] = self._rows[h + self.size] = _unit_rows(key[None, :])[0]
+        self._head = (h + 1) % self.size
         self.rotations += 1
 
     def as_matrix(self) -> np.ndarray:
-        """A read-only (size, dim) view, eldest row first."""
-        return self._view(self._rows)
-
-    def unit_matrix(self) -> np.ndarray:
-        """as_matrix with every row scaled to unit length (a zero row stays
-        zero), as a read-only view."""
-        if self._units is None:
-            units = _unit_rows(self._rows[:self.size])
-            self._units = np.concatenate((units, units))
-        return self._view(self._units)
-
-    def _view(self, buf: np.ndarray) -> np.ndarray:
-        view = buf[self._head:self._head + self.size]
+        """A read-only (size, dim) view of the unit rows (a zero row stays
+        zero), eldest row first."""
+        view = self._rows[self._head:self._head + self.size]
         view.flags.writeable = False
         return view
 
@@ -152,7 +137,7 @@ def build_msim(pos: ad.Tensor, queue: NegativeQueue, anchor: ad.Tensor) -> ad.Te
     """
     if queue is None or len(queue) == 0:
         raise ValueError("negative queue is not initialized")
-    q, a = queue.unit_matrix(), ad.normalize(anchor)
+    q, a = queue.as_matrix(), ad.normalize(anchor)
     out = np.empty(len(queue) + 1)
     out[0] = pos.values
     out[1:] = q @ a.values

@@ -142,7 +142,8 @@ def bio_to_spans(tags: Sequence[str]):
 
     B-X opens a span; I-X continues a span of type X; an I-X without an
     open same-type span opens one (the conlleval convention for files
-    that were never converted from IOB). O or a type change closes.
+    that were never converted from IOB). O or a type change closes. Any
+    other tag, a bare B- or I- included, raises ValueError.
 
     Returns:
         set of Span with inclusive start/end indices.
@@ -155,19 +156,13 @@ def bio_to_spans(tags: Sequence[str]):
             if cur is not None:
                 spans.add(Span(start, i - 1, cur))
                 cur = None
-        elif tag.startswith("B-"):
+        elif not tag.startswith(("B-", "I-")) or len(tag) == 2:
+            raise ValueError(f"malformed tag {tag!r}")
+        elif tag[0] == "B" or cur != tag[2:]:
             if cur is not None:
                 spans.add(Span(start, i - 1, cur))
             cur = tag[2:]
             start = i
-        elif tag.startswith("I-"):
-            if cur is None or cur != tag[2:]:
-                if cur is not None:
-                    spans.add(Span(start, i - 1, cur))
-                cur = tag[2:]
-                start = i
-        else:
-            raise ValueError(f"malformed tag {tag!r}")
     if cur is not None:
         spans.add(Span(start, len(tags) - 1, cur))
     return spans

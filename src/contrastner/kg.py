@@ -69,7 +69,6 @@ class KgIndex:
 
     def __init__(self):
         self._index: dict = {}   # surface -> list of dataset types
-        self.entries = 0
         self.dropped = 0
         self.skipped_lines = 0
 
@@ -77,7 +76,6 @@ class KgIndex:
         types = self._index.setdefault(surface, [])
         if dataset_type not in types:
             types.append(dataset_type)
-            self.entries += 1
 
     def lookup(self, surface: str) -> tuple:
         return tuple(self._index.get(surface, ()))

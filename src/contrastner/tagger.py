@@ -28,15 +28,12 @@ class NerConfig:
     epochs: int = 10
     lr: float = 0.05
     seed: int = 0
-    hidden: int = 64
     train_encoder: bool = True
     strict: bool = False
 
     def validate(self):
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden size must be >= 1, got {self.hidden}")
 
 
 @dataclass
@@ -67,6 +64,8 @@ def init_tagger(store: ParamStore, d_in: int, hidden: int, n_tags: int,
     Gate weights are packed in row blocks [input, forget, cell, output],
     each `hidden` rows tall.
     """
+    if hidden < 1:
+        raise ValueError(f"hidden size must be >= 1, got {hidden}")
     rng = rng or np.random.default_rng(0)
     for d in ("f", "b"):
         store.add(f"lstm.{d}.w_x",
@@ -251,21 +250,16 @@ def transition_mask(tag_list: Sequence[str]) -> np.ndarray:
     return mask
 
 
-def _masked_trans(store: ParamStore, tag_list, strict: bool):
-    trans = store["crf.trans"]
-    if not strict:
-        return trans
-    if tag_list is None:
-        raise ValueError("strict transitions need the tag inventory")
-    return ad.add(trans, ad.constant(transition_mask(tag_list)))
-
-
 def sentence_nll(store: ParamStore, vocab: enc.Vocab, sent: TaggedSentence,
-                 tag_ids: Sequence[int], strict: bool = False,
-                 tag_list: Optional[Sequence[str]] = None) -> ad.Tensor:
+                 tag_ids: Sequence[int], mask: Optional[np.ndarray] = None) -> ad.Tensor:
+    """CRF negative log-likelihood of one sentence's gold tags; mask, if
+    given, is added to the transitions (see transition_mask)."""
     feats = bilstm_forward(store, enc.encode(store, vocab, sent.tokens))
     emis = emissions(store, feats)
-    return crf_nll(emis, _masked_trans(store, tag_list, strict), tag_ids)
+    trans = store["crf.trans"]
+    if mask is not None:
+        trans = ad.add(trans, ad.constant(mask))
+    return crf_nll(emis, trans, tag_ids)
 
 
 def train_ner(sentences: Sequence[TaggedSentence], vocab: enc.Vocab,
@@ -288,6 +282,7 @@ def train_ner(sentences: Sequence[TaggedSentence], vocab: enc.Vocab,
     frozen = [] if config.train_encoder else list(store.subset("enc.").items())
     for _, t in frozen:
         t.requires_grad = False  # keeps encoder ops off the tape entirely
+    mask = transition_mask(tag_list) if config.strict else None
     rng = np.random.default_rng(config.seed)
     order = list(range(len(sentences)))
     log = NerLog()
@@ -296,8 +291,7 @@ def train_ner(sentences: Sequence[TaggedSentence], vocab: enc.Vocab,
             rng.shuffle(order)
             total = 0.0
             for idx in order:
-                loss = sentence_nll(store, vocab, sentences[idx], gold[idx],
-                                    config.strict, tag_list)
+                loss = sentence_nll(store, vocab, sentences[idx], gold[idx], mask)
                 if not np.isfinite(loss.values):
                     raise RuntimeError(f"non-finite loss at epoch {epoch}, sentence {idx}")
                 ad.backward(loss)

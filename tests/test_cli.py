@@ -71,6 +71,13 @@ def test_stats_output(tmp_path, capsys):
     assert "[train] sentences=2 tokens=5 entities=2 LOC=1 PER=1" in out
 
 
+def test_stats_rejects_a_tag_with_no_type(tmp_path, capsys):
+    train = tmp_path / "train.conll"
+    train.write_text("a B-\nb I-\n")
+    assert cli.run(["stats", "--train", str(train)]) == 1
+    assert "malformed tag 'B-'" in capsys.readouterr().err
+
+
 def test_stats_requires_a_split(capsys):
     assert cli.run(["stats"]) == 1
     assert "error: config:" in capsys.readouterr().err
@@ -157,14 +164,17 @@ def training_input(tmp_path, command) -> list:
     return ["--pairs", str(write_pairs(tmp_path))]
 
 
-@pytest.mark.parametrize("command", ["train-ner", "train-wcl"])
-@pytest.mark.parametrize("flag", ["--emb", "--enc-hidden"])
-def test_zero_encoder_width_is_config_error(tmp_path, capsys, command, flag):
+@pytest.mark.parametrize("flag, command, message", [
+    pytest.param(flag, command, "emb_dim and hidden must be >= 1", id=f"{flag}-{command}")
+    for flag in ("--emb", "--enc-hidden") for command in ("train-ner", "train-wcl")
+] + [pytest.param("--hidden", "train-ner", "hidden size must be >= 1",
+                  id="--hidden-train-ner")])
+def test_zero_encoder_width_is_config_error(tmp_path, capsys, flag, command, message):
     data = training_input(tmp_path, command)
     out = tmp_path / "m.bin"
     assert cli.run([command, *data, "--out", str(out), "--epochs", "1",
                     "--emb", "4", "--enc-hidden", "4", flag, "0"]) == 1
-    assert "error: config: emb_dim and hidden must be >= 1" in capsys.readouterr().err
+    assert f"error: config: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -231,6 +241,21 @@ def test_predict_tag_sidecar_length_mismatch_is_data_error(tmp_path, capsys, kee
                   "--out", str(tmp_path / "p.conll")])
     assert rc == 2
     assert f"lists {keep} tags, checkpoint has 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("B-PER", "FOO", "malformed tag 'FOO'"),
+    ("I-LOC", "B-PER", "repeats B-PER"),
+], ids=["malformed", "repeated"])
+def test_predict_bad_tag_in_sidecar_is_data_error(tmp_path, capsys, old, new, message):
+    model, test_path = full_small_pipeline(tmp_path, capsys)
+    sidecar = tmp_path / "model.bin.tags"
+    tags = sidecar.read_text().split()
+    sidecar.write_text("\n".join(new if t == old else t for t in tags) + "\n")
+    rc = cli.run(["predict", "--model", str(model), "--test", str(test_path),
+                  "--out", str(tmp_path / "p.conll")])
+    assert rc == 2
+    assert f"model.bin.tags: {message}" in capsys.readouterr().err
 
 
 def rewrite_param(model, name, edit):

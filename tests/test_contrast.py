@@ -85,33 +85,36 @@ def test_similarity_range_and_zero_vector():
 
 
 def test_queue_size_invariant_and_fifo():
+    # the queue holds unit rows; keys along distinct axes keep the order visible
     rng = np.random.default_rng(3)
     q = ct.NegativeQueue(3, 2, rng)
     assert len(q) == 3
     init = q.as_matrix().copy()
-    pushed = [np.array([float(i), 0.0]) for i in range(1, 4)]
+    assert np.allclose(np.linalg.norm(init, axis=1), 1.0)
+    axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    pushed = [axes[i] * (i + 2) for i in range(3)]
     q.rotate(pushed[0])
     assert len(q) == 3
     # first push evicts an init vector, never a pushed key
-    assert any(np.array_equal(q.as_matrix()[i], pushed[0]) for i in range(3))
+    assert any(np.array_equal(q.as_matrix()[i], axes[0]) for i in range(3))
     assert np.array_equal(q.as_matrix()[:2], init[1:])
     q.rotate(pushed[1])
     q.rotate(pushed[2])
     # after N-1 pushes the queue is exactly the pushed keys, oldest first
-    assert np.array_equal(q.as_matrix(), np.stack(pushed))
-    more = [np.array([0.0, float(i)]) for i in range(7)]
+    assert np.array_equal(q.as_matrix(), axes[:3])
+    more = [axes[i % 4] * (i + 1) for i in range(1, 8)]
     for key in more:
         q.rotate(key)
-    assert np.array_equal(q.as_matrix(), np.stack(more[-3:]))
+    assert np.array_equal(q.as_matrix(), axes[[1, 2, 3]])
 
 
 def test_queue_stores_copies():
     rng = np.random.default_rng(4)
     q = ct.NegativeQueue(2, 2, rng)
-    key = np.array([1.0, 1.0])
+    key = np.array([0.0, 3.0])
     q.rotate(key)
     key[:] = 99.0
-    assert np.array_equal(q.as_matrix()[-1], [1.0, 1.0])
+    assert np.array_equal(q.as_matrix()[-1], [0.0, 1.0])
 
 
 def test_queue_rejects_bad_shapes():
@@ -125,11 +128,10 @@ def test_queue_rejects_bad_shapes():
 
 def test_queue_matrix_is_a_read_only_view():
     q = ct.NegativeQueue(3, 2, np.random.default_rng(12))
-    for read in (q.as_matrix, q.unit_matrix):
-        m = read()
-        assert not m.flags.writeable and not m.flags.owndata
-        with pytest.raises(ValueError):
-            m[0, 0] = 1.0
+    m = q.as_matrix()
+    assert not m.flags.writeable and not m.flags.owndata
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
 
 
 def test_build_msim_orthogonal_negative():
@@ -326,6 +328,12 @@ def test_train_wcl_loss_decreases_on_paraphrase_fixture():
     assert log.epoch_losses[-1] < log.epoch_losses[0]
 
 
+def unit_rows(queue) -> np.ndarray:
+    """The queue's rows at unit length; the reference queue holds them raw."""
+    m = queue.as_matrix()
+    return ct._unit_rows(m) if isinstance(queue, ref_NegativeQueue) else m
+
+
 def bits(a) -> bytes:
     return np.asarray(a, dtype=np.float64).tobytes()
 
@@ -334,10 +342,10 @@ def bits(a) -> bytes:
 @given(size=st.integers(1, 64), dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        tau=st.floats(0.05, 2.0))
 def test_queue_similarity_and_loss_match_reference_bit_for_bit(size, dim, seed, tau):
-    # The reference runs in the old order (rotate, then backward); the new
-    # queue rotates after backward. Both queues first rotate a drawn 0..size
-    # times unscored, so the unit rows are first read after a random number
-    # of rotations. Some keys are zero or below the 1e-9 norm floor.
+    # The reference runs in the old order (rotate, then backward) and
+    # normalises its raw rows on every read; the new queue rotates after
+    # backward and stores unit rows. Both queues first rotate a drawn 0..size
+    # times unscored. Some keys are zero or below the 1e-9 norm floor.
     rng = np.random.default_rng(seed)
     new, ref = ct.NegativeQueue(size, dim, np.random.default_rng(seed)), \
         ref_NegativeQueue(size, dim, np.random.default_rng(seed))
@@ -363,7 +371,7 @@ def test_queue_similarity_and_loss_match_reference_bit_for_bit(size, dim, seed, 
             if queue is new:
                 queue.rotate(key)
             results.append([bits(x) for x in (msim.values, loss.values, msim.grad,
-                                              anchor.grad, pos.grad, queue.as_matrix())])
+                                              anchor.grad, pos.grad, unit_rows(queue))])
         assert results[0] == results[1], f"step {step}"
 
 
@@ -381,7 +389,7 @@ def test_train_wcl_matches_reference_loop_bit_for_bit():
         config = ct.WclConfig(epochs=2, queue_size=64, lr=0.1, seed=3)
         log = train(pairs, vocab, store, key, config)
         runs.append(([bits(t.values) for t in store.tensors() + key.tensors()],
-                     log.epoch_losses, bits(log.queue.as_matrix())))
+                     log.epoch_losses, bits(unit_rows(log.queue))))
     assert runs[0] == runs[1]
 
 

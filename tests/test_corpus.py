@@ -119,6 +119,12 @@ def test_bio_to_spans_adjacent_and_trailing():
         Span(0, 0, "PER"), Span(1, 1, "LOC")}
 
 
+@pytest.mark.parametrize("tags", [["B-"], ["I-"], ["B-PER", "I-"], ["PER"]])
+def test_bio_to_spans_rejects_malformed_tags(tags):
+    with pytest.raises(ValueError, match="malformed tag"):
+        bio_to_spans(tags)
+
+
 def test_spans_round_trip_property():
     # spans_to_bio then bio_to_spans recovers the span set exactly
     rng = random.Random(0)

@@ -222,18 +222,21 @@ def test_fused_ops_match_reference_graph():
         strict = trial % 3 == 0
         if strict:
             gold = [0] * len(tokens)   # a legal path under the BIO mask
+        mask = ad.constant(tg.transition_mask(tag_list))
         params = store.tensors()
+
+        def trans():
+            t = store["crf.trans"]
+            return ad.add(t, mask) if strict else t
 
         rows = enc.encode(store, vocab, tokens)
         feats = tg.bilstm_forward(store, rows)
-        trans = tg._masked_trans(store, tag_list, strict)
-        loss = tg.crf_nll(tg.emissions(store, feats), trans, gold)
+        loss = tg.crf_nll(tg.emissions(store, feats), trans(), gold)
         got = [rows.values, feats.values, loss.values] + _grads_of(loss, params)
 
         rows = helpers.ref_encode(store, vocab, tokens)
         feats = helpers.ref_bilstm_forward(store, rows)
-        trans = tg._masked_trans(store, tag_list, strict)
-        loss = helpers.ref_crf_nll(helpers.ref_emissions(store, feats), trans, gold)
+        loss = helpers.ref_crf_nll(helpers.ref_emissions(store, feats), trans(), gold)
         want = [np.stack([r.values for r in rows]), np.stack([f.values for f in feats]),
                 loss.values] + _grads_of(loss, params)
 
@@ -376,13 +379,6 @@ def test_strict_decode_never_emits_orphan_inside():
             if tag.startswith("I-"):
                 assert prev != "O" and prev[2:] == tag[2:]
             prev = tag
-
-
-def test_masked_trans_requires_tag_list():
-    store = ParamStore()
-    store.add("crf.trans", np.zeros((5, 5)))
-    with pytest.raises(ValueError):
-        tg._masked_trans(store, None, True)
 
 
 def test_mask_keeps_gradients_flowing():
@@ -539,6 +535,6 @@ def test_bio_tag_list_layout():
 def test_ner_config_validation():
     with pytest.raises(ValueError):
         tg.NerConfig(epochs=-1).validate()
-    with pytest.raises(ValueError):
-        tg.NerConfig(hidden=0).validate()
     tg.NerConfig().validate()
+    with pytest.raises(ValueError, match="hidden size must be >= 1"):
+        tg.init_tagger(ParamStore(), 4, 0, 3)
