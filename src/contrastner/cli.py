@@ -23,9 +23,23 @@ class ConfigError(ValueError):
     pass
 
 
-def _add_common(p: argparse.ArgumentParser):
+_TRUE = {"1", "true", "yes", "on"}
+_FALSE = {"0", "false", "no", "off"}
+
+
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in _TRUE | _FALSE:
+        raise argparse.ArgumentTypeError(f"expected a boolean, got {raw!r}")
+    return raw.lower() in _TRUE
+
+
+# a boolean flag: bare means True, --flag=yes|no sets it either way
+_SWITCH = dict(type=_boolean, nargs="?", const=True, default=False, metavar="BOOL")
+
+
+def _add_common(p: argparse.ArgumentParser, out_required: bool = False):
     p.add_argument("--config", help="key=value file of flag defaults")
-    p.add_argument("--out", help="output path")
+    p.add_argument("--out", required=out_required, help="output path")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -42,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("train-wcl", help="contrastive encoder fine-tuning")
-    p.add_argument("--pairs", help="TSV of sentence<TAB>positive")
+    p.add_argument("--pairs", required=True, help="TSV of sentence<TAB>positive")
     p.add_argument("--tau", type=float, default=0.07)
     p.add_argument("--queue", type=int, default=4096)
     p.add_argument("--epochs", type=int, default=5)
@@ -54,10 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated entity types (head width)")
     p.add_argument("--emb", type=int, default=64)
     p.add_argument("--enc-hidden", type=int, default=64)
-    _add_common(p)
+    _add_common(p, out_required=True)
 
     p = sub.add_parser("train-ner", help="train the BiLSTM-CRF tagger")
-    p.add_argument("--train")
+    p.add_argument("--train", required=True)
     p.add_argument("--dev")
     p.add_argument("--encoder", help="warm-start from a train-wcl checkpoint")
     p.add_argument("--epochs", type=int, default=10)
@@ -66,41 +80,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emb", type=int, default=64)
     p.add_argument("--enc-hidden", type=int, default=64)
     p.add_argument("--types", default=",".join(CONLL2003_TYPES))
-    p.add_argument("--strict", action="store_true",
+    p.add_argument("--strict", **_SWITCH,
                    help="forbid illegal BIO transitions in the CRF")
-    p.add_argument("--freeze-encoder", action="store_true")
-    _add_common(p)
+    p.add_argument("--freeze-encoder", **_SWITCH)
+    _add_common(p, out_required=True)
 
     p = sub.add_parser("predict", help="tag a corpus with a trained model")
-    p.add_argument("--model")
-    p.add_argument("--test")
-    p.add_argument("--strict", action="store_true")
-    _add_common(p)
+    p.add_argument("--model", required=True)
+    p.add_argument("--test", required=True)
+    p.add_argument("--strict", **_SWITCH)
+    _add_common(p, out_required=True)
 
     p = sub.add_parser("correct", help="knowledge-graph post-correction")
-    p.add_argument("--pred", help="predictions to correct")
+    p.add_argument("--pred", required=True, help="predictions to correct")
     p.add_argument("--kg", help="snapshot TSV of surface<TAB>type")
     p.add_argument("--kg-endpoint", help="remote lookup URL ({q} substituted)")
     p.add_argument("--kg-cache", help="on-disk cache for remote lookups")
     p.add_argument("--typemap", help="TSV of kg-type<TAB>dataset-type")
     p.add_argument("--l-max", type=int, default=kg.DEFAULT_L_MAX)
-    _add_common(p)
+    _add_common(p, out_required=True)
 
     p = sub.add_parser("eval", help="exact-match span evaluation")
-    p.add_argument("--gold")
-    p.add_argument("--pred")
+    p.add_argument("--gold", required=True)
+    p.add_argument("--pred", required=True)
     _add_common(p)
     return parser
 
 
-def _require(ns, *names):
-    for name in names:
-        if not getattr(ns, name.replace("-", "_"), None):
-            raise ConfigError(f"{ns.command} needs --{name}")
-
-
-def _parse_config_file(path) -> dict:
-    out = {}
+def _config_flags(path) -> list:
+    """One --key=value flag per key=value line of a config file."""
+    flags = []
     try:
         f = open(path, encoding="utf-8")
     except FileNotFoundError:
@@ -113,50 +122,12 @@ def _parse_config_file(path) -> dict:
             key, sep, value = line.partition("=")
             if not sep or not key.strip():
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
-            out[key.strip()] = value.strip()
-    return out
-
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _subparser_for(parser: argparse.ArgumentParser,
-                   command: str) -> argparse.ArgumentParser:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise KeyError(command)
-
-
-def _apply_config(parser: argparse.ArgumentParser, ns: argparse.Namespace, argv):
-    """Re-parse with config values as defaults so explicit flags win."""
-    cfg = _parse_config_file(ns.config)
-    sub = _subparser_for(parser, ns.command)
-    actions = {a.dest: a for a in sub._actions}
-    defaults = {}
-    for key, raw in cfg.items():
-        dest = key.replace("-", "_")
-        if dest in ("config", "command", "help") or dest not in actions:
-            raise ConfigError(f"unknown config key {key!r}")
-        action = actions[dest]
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            low = raw.lower()
-            if low not in _TRUE | _FALSE:
-                raise ConfigError(f"config key {key!r} wants a boolean, got {raw!r}")
-            defaults[dest] = low in _TRUE
-        elif action.type is not None:
-            try:
-                defaults[dest] = action.type(raw)
-            except ValueError:
-                raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
-        else:
-            defaults[dest] = raw
-        if action.choices and defaults[dest] not in action.choices:
-            raise ConfigError(f"config key {key!r}: {raw!r} not one of "
-                              f"{sorted(action.choices)}")
-    sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
+            flag = "--" + key.strip().replace("_", "-")
+            # argparse would match a prefix such as --conf to --config too
+            if "--config".startswith(flag):
+                raise ConfigError(f"{path}:{lineno}: a config file cannot set --config")
+            flags.append(f"{flag}={value.strip()}")
+    return flags
 
 
 def _write_manifest(out_path, ns: argparse.Namespace, extra=None, elapsed=None):
@@ -206,7 +177,7 @@ def _cmd_stats(ns) -> int:
         raise ConfigError("stats needs at least one of --train/--dev/--test")
     lines = []
     for name, path in splits:
-        stats = corpus.corpus_stats(corpus.parse_conll(path))
+        stats = corpus.corpus_stats(corpus.parse_conll(path, strict=True))
         parts = [f"[{name}]",
                  f"sentences={stats['sentences']}",
                  f"tokens={stats['tokens']}",
@@ -223,7 +194,6 @@ def _cmd_stats(ns) -> int:
 
 
 def _cmd_train_wcl(ns) -> int:
-    _require(ns, "pairs", "out")
     config = contrast.WclConfig(
         temperature=ns.tau, queue_size=ns.queue, epochs=ns.epochs, lr=ns.lr,
         seed=ns.seed, key_update=ns.key_update, momentum=ns.momentum)
@@ -250,7 +220,6 @@ def _cmd_train_wcl(ns) -> int:
 
 
 def _cmd_train_ner(ns) -> int:
-    _require(ns, "train", "out")
     config = tagger.NerConfig(epochs=ns.epochs, lr=ns.lr, seed=ns.seed,
                               train_encoder=not ns.freeze_encoder, strict=ns.strict)
     config.validate()
@@ -260,13 +229,12 @@ def _cmd_train_ner(ns) -> int:
     if not train_sents:
         raise DataError("no sentences", path=ns.train)
     rng = np.random.default_rng(ns.seed)
-    store = ParamStore()
     if ns.encoder:
-        enc_store = _load_checkpoint(ns.encoder).subset("enc.")
+        store = _load_checkpoint(ns.encoder).subset("enc.")
         vocab = _sidecar_vocab(ns.encoder)
-        _check_params(enc_store, _encoder_shapes(enc_store, len(vocab)), ns.encoder)
-        store.adopt(enc_store)
+        _check_params(store, _encoder_shapes(store, len(vocab)), ns.encoder)
     else:
+        store = ParamStore()
         vocab = encoder.Vocab.from_sentences(s.tokens for s in train_sents)
         encoder.init_encoder(store, "enc.", len(vocab), ns.emb, ns.enc_hidden, rng)
     tagger.init_tagger(store, encoder.output_dim(store), ns.hidden, len(tag_list), rng)
@@ -358,7 +326,6 @@ def _check_tagger(store: ParamStore, n_vocab: int, n_tags: int, model_path):
 
 
 def _cmd_predict(ns) -> int:
-    _require(ns, "model", "test", "out")
     store = _load_checkpoint(ns.model)
     vocab = _sidecar_vocab(ns.model)
     tag_list = _load_tag_list(ns.model)
@@ -373,8 +340,7 @@ def _cmd_predict(ns) -> int:
 
 
 def _cmd_correct(ns) -> int:
-    _require(ns, "pred", "out")
-    pred = corpus.parse_conll(ns.pred)
+    pred = corpus.parse_conll(ns.pred, strict=True)
     sources = []
     typemap = kg.TypeMap.load(ns.typemap) if ns.typemap else kg.TypeMap.default_conll()
     snapshot = remote = None
@@ -411,7 +377,6 @@ def _cmd_correct(ns) -> int:
 
 
 def _cmd_eval(ns) -> int:
-    _require(ns, "gold", "pred")
     text = evaluation.report_files(ns.gold, ns.pred)
     sys.stdout.write(text)
     if ns.out:
@@ -432,18 +397,19 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    """Each config line becomes a flag right after the subcommand, so one
+    parse reads both and explicit flags, read later, win."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    pre = argparse.ArgumentParser(prog="contrastner", add_help=False)
+    pre.add_argument("--config")
     try:
-        ns = parser.parse_args(argv)
+        config = pre.parse_known_args(argv)[0].config
+        if config:
+            argv = argv[:1] + _config_flags(config) + argv[1:]
+        ns = build_parser().parse_args(argv)
+        return _COMMANDS[ns.command](ns)
     except SystemExit as e:
         return 0 if e.code == 0 else 1
-    try:
-        if getattr(ns, "config", None):
-            try:
-                ns = _apply_config(parser, ns, argv)
-            except SystemExit as e:
-                return 0 if e.code == 0 else 1
-        return _COMMANDS[ns.command](ns)
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)
         return 1

@@ -73,11 +73,13 @@ def parse_conll(path, strict: bool = False, types: Optional[Iterable[str]] = Non
 
     Blank lines end a sentence; lines whose first field is -DOCSTART- are
     skipped. With strict=True every tag must match the BIO grammar (over
-    `types` when given), or DataError names the line.
+    `types` when given), or DataError names the line. Each distinct tag is
+    checked once, at its first line.
     """
     sentences = []
     tokens: list = []
     tags: list = []
+    checked = set()
 
     def flush():
         if tokens:
@@ -95,11 +97,12 @@ def parse_conll(path, strict: bool = False, types: Optional[Iterable[str]] = Non
                 flush()
                 continue
             token, tag = fields[0], fields[-1]
-            if strict:
+            if strict and tag not in checked:
                 try:
                     validate_tags([tag], types)
                 except ValueError as e:
                     raise DataError(str(e), path=path, line=lineno) from None
+                checked.add(tag)
             tokens.append(token)
             tags.append(tag)
     flush()

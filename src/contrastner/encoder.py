@@ -7,7 +7,7 @@ a key copy is refreshed from it (frozen, momentum, or mirror).
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ RESERVED = (PAD, UNK)
 class Vocab:
     """Token-to-id mapping with reserved padding id 0 and unknown id 1."""
 
-    def __init__(self, tokens: Sequence[str] = ()):
+    def __init__(self, tokens: Iterable[str] = ()):
         self._tokens = list(RESERVED)
         self._ids = {PAD: 0, UNK: 1}
         for tok in tokens:
@@ -47,14 +47,7 @@ class Vocab:
     @classmethod
     def from_sentences(cls, token_lists) -> "Vocab":
         """Every distinct token in first-occurrence order (min frequency 1)."""
-        seen = []
-        have = set(RESERVED)
-        for toks in token_lists:
-            for tok in toks:
-                if tok not in have:
-                    have.add(tok)
-                    seen.append(tok)
-        return cls(seen)
+        return cls(tok for toks in token_lists for tok in toks)
 
     def save(self, path):
         """One non-reserved token per line; line order is id order."""

@@ -107,7 +107,7 @@ def report(gold: Sequence[TaggedSentence], pred: Sequence[TaggedSentence]) -> st
 
 def report_files(gold_path, pred_path) -> str:
     """report on two CoNLL files; a misalignment names the predictions."""
-    gold, pred = parse_conll(gold_path), parse_conll(pred_path)
+    gold, pred = parse_conll(gold_path, strict=True), parse_conll(pred_path, strict=True)
     try:
         counts = count_matches(gold, pred)
     except DataError as e:

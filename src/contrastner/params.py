@@ -65,13 +65,6 @@ class ParamStore:
             out._params[name] = c
         return out
 
-    def adopt(self, other: "ParamStore"):
-        """Take over every tensor of another store (names must be fresh)."""
-        for name, t in other.items():
-            if name in self._params:
-                raise ValueError(f"duplicate parameter name: {name}")
-            self._params[name] = t
-
 
 def sgd_step(stores, lr: float):
     """One descent step p -= lr * grad over every parameter with a grad.

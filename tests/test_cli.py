@@ -74,8 +74,20 @@ def test_stats_output(tmp_path, capsys):
 def test_stats_rejects_a_tag_with_no_type(tmp_path, capsys):
     train = tmp_path / "train.conll"
     train.write_text("a B-\nb I-\n")
-    assert cli.run(["stats", "--train", str(train)]) == 1
-    assert "malformed tag 'B-'" in capsys.readouterr().err
+    assert cli.run(["stats", "--train", str(train)]) == 2
+    assert f"error: data: {train}:1: malformed tag 'B-'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "correct"])
+def test_malformed_tag_is_data_error(tmp_path, capsys, command):
+    good = write_corpus(tmp_path, "good.conll", small_corpus())
+    bad = tmp_path / "bad.conll"
+    bad.write_text("john B-PER\nsmith XYZ\nspoke O\n\nvisit O\nparis B-LOC\n")
+    out = str(tmp_path / "out.txt")
+    argv = (["eval", "--gold", str(good), "--pred", str(bad)] if command == "eval"
+            else ["correct", "--pred", str(bad), "--out", out])
+    assert cli.run(argv) == 2
+    assert f"error: data: {bad}:2: malformed tag 'XYZ'" in capsys.readouterr().err
 
 
 def test_stats_requires_a_split(capsys):
@@ -557,6 +569,18 @@ def test_config_file_errors(tmp_path, capsys):
     unknown_key.write_text("volume=11\n")
     assert cli.run(["eval", "--config", str(unknown_key), "--gold", str(gold),
                     "--pred", str(gold)]) == 1
+
+    # a config file cannot name another config file
+    nested = tmp_path / "nested.cfg"
+    nested.write_text("config=x\n")
+    assert cli.run(["eval", "--config", str(nested), "--gold", str(gold),
+                    "--pred", str(gold)]) == 1
+
+    # a key that is a flag of another subcommand only
+    other_command = tmp_path / "tau.cfg"
+    other_command.write_text("tau=0.5\n")
+    assert cli.run(["eval", "--config", str(other_command), "--gold", str(gold),
+                    "--pred", str(gold)]) == 1
     capsys.readouterr()
 
 
@@ -574,6 +598,16 @@ def test_config_file_type_casting(tmp_path, capsys):
     assert man["tau"] == "0.5"
     assert man["queue"] == "8"
 
+    # the required flags can come from the config file alone
+    full = tmp_path / "full.cfg"
+    other = tmp_path / "other.bin"
+    full.write_text(f"pairs={pairs}\nout={other}\nepochs=1\nqueue=8\nemb=8\n"
+                    "enc-hidden=4\n")
+    assert cli.run(["train-wcl", "--config", str(full)]) == 0
+    capsys.readouterr()
+    assert other.exists()
+    assert manifest_of(other)["pairs"] == str(pairs)
+
     bad = tmp_path / "bad.cfg"
     bad.write_text("epochs=three\n")
     assert cli.run(["train-wcl", "--config", str(bad), "--pairs", str(pairs),
@@ -585,13 +619,29 @@ def test_config_file_boolean_and_choices(tmp_path, capsys):
     train, _ = synth.ner_fixture(seed=0, n_train=6, n_test=1)
     train_path = write_corpus(tmp_path, "t.conll", train)
     cfg = tmp_path / "ner.cfg"
-    cfg.write_text("strict=yes\nepochs=0\nemb=8\nenc-hidden=4\nhidden=4\n")
+    cfg.write_text("strict=yes\nepochs=0\nemb=8\nenc_hidden=4\nhidden=4\n")
     out = tmp_path / "m.bin"
     rc = cli.run(["train-ner", "--config", str(cfg), "--train",
                   str(train_path), "--out", str(out)])
     assert rc == 0
     capsys.readouterr()
-    assert manifest_of(out)["strict"] == "True"
+    man = manifest_of(out)
+    assert man["strict"] == "True"
+    assert man["enc_hidden"] == "4"
+
+    off = tmp_path / "off.cfg"
+    off.write_text("strict=no\nepochs=0\nemb=8\nenc-hidden=4\nhidden=4\n")
+    assert cli.run(["train-ner", "--config", str(off), "--train",
+                    str(train_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert manifest_of(out)["strict"] == "False"
+
+    # an explicit switch wins over the file, bare or with a value
+    for cfg_path, flag, want in ((off, "--strict", "True"), (cfg, "--strict=no", "False")):
+        assert cli.run(["train-ner", "--config", str(cfg_path), "--train",
+                        str(train_path), "--out", str(out), flag]) == 0
+        capsys.readouterr()
+        assert manifest_of(out)["strict"] == want
 
     badbool = tmp_path / "b.cfg"
     badbool.write_text("strict=maybe\n")
