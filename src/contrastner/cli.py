@@ -8,6 +8,7 @@ A key=value config file can seed any subcommand; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -40,7 +41,6 @@ _SWITCH = dict(type=_boolean, nargs="?", const=True, default=False, metavar="BOO
 def _add_common(p: argparse.ArgumentParser, out_required: bool = False):
     p.add_argument("--config", help="key=value file of flag defaults")
     p.add_argument("--out", required=out_required, help="output path")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,25 +57,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-wcl", help="contrastive encoder fine-tuning")
     p.add_argument("--pairs", required=True, help="TSV of sentence<TAB>positive")
-    p.add_argument("--tau", type=float, default=0.07)
-    p.add_argument("--queue", type=int, default=4096)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--key-update", choices=contrast.KEY_UPDATE_MODES,
-                   default="momentum")
-    p.add_argument("--momentum", type=float, default=0.999)
+    wcl = contrast.WclConfig
+    p.add_argument("--tau", type=float, default=wcl.temperature)
+    p.add_argument("--queue", type=int, default=wcl.queue_size)
+    p.add_argument("--epochs", type=int, default=wcl.epochs)
+    p.add_argument("--lr", type=float, default=wcl.lr)
+    p.add_argument("--momentum", type=float, default=wcl.momentum,
+                   help="key <- m*key + (1-m)*query; 1 keeps the key, 0 copies the query")
     p.add_argument("--types", default=",".join(CONLL2003_TYPES),
                    help="comma-separated entity types (head width)")
     p.add_argument("--emb", type=int, default=64)
     p.add_argument("--enc-hidden", type=int, default=64)
+    p.add_argument("--seed", type=int, default=wcl.seed)
     _add_common(p, out_required=True)
 
     p = sub.add_parser("train-ner", help="train the BiLSTM-CRF tagger")
     p.add_argument("--train", required=True)
     p.add_argument("--dev")
     p.add_argument("--encoder", help="warm-start from a train-wcl checkpoint")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--epochs", type=int, default=tagger.NerConfig.epochs)
+    p.add_argument("--lr", type=float, default=tagger.NerConfig.lr)
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--emb", type=int, default=64)
     p.add_argument("--enc-hidden", type=int, default=64)
@@ -83,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", **_SWITCH,
                    help="forbid illegal BIO transitions in the CRF")
     p.add_argument("--freeze-encoder", **_SWITCH)
+    p.add_argument("--seed", type=int, default=tagger.NerConfig.seed)
     _add_common(p, out_required=True)
 
     p = sub.add_parser("predict", help="tag a corpus with a trained model")
@@ -128,6 +130,19 @@ def _config_flags(path) -> list:
                 raise ConfigError(f"{path}:{lineno}: a config file cannot set --config")
             flags.append(f"{flag}={value.strip()}")
     return flags
+
+
+def _check_out(out):
+    """DataError unless a given --out names a file in an existing directory,
+    so that a bad output path ends the run before any work."""
+    if out is None:
+        return
+    if not out:
+        raise DataError("--out is empty")
+    if os.path.isdir(out):
+        raise DataError("--out is a directory", path=out)
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise DataError("--out lies in no existing directory", path=out)
 
 
 def _write_manifest(out_path, ns: argparse.Namespace, extra=None, elapsed=None):
@@ -196,10 +211,12 @@ def _cmd_stats(ns) -> int:
 def _cmd_train_wcl(ns) -> int:
     config = contrast.WclConfig(
         temperature=ns.tau, queue_size=ns.queue, epochs=ns.epochs, lr=ns.lr,
-        seed=ns.seed, key_update=ns.key_update, momentum=ns.momentum)
+        seed=ns.seed, momentum=ns.momentum)
     config.validate()
     types = _types_list(ns)
     pairs = corpus.load_pairs(ns.pairs)
+    if not pairs:
+        raise DataError("no pairs", path=ns.pairs)
     vocab = encoder.Vocab.from_sentences(
         [p.sentence for p in pairs] + [p.positive for p in pairs])
     rng = np.random.default_rng(ns.seed)
@@ -407,13 +424,14 @@ def run(argv=None) -> int:
         if config:
             argv = argv[:1] + _config_flags(config) + argv[1:]
         ns = build_parser().parse_args(argv)
+        _check_out(ns.out)
         return _COMMANDS[ns.command](ns)
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError, UnicodeDecodeError) as e:
+    except (DataError, OSError, UnicodeDecodeError) as e:
         print(f"error: data: {e}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as e:

@@ -21,9 +21,6 @@ from . import encoder as enc
 from .corpus import SentencePair
 from .params import ParamStore, sgd_step
 
-KEY_UPDATE_MODES = ("frozen", "momentum", "mirror")
-
-
 @dataclass
 class WclConfig:
     temperature: float = 0.07
@@ -31,8 +28,7 @@ class WclConfig:
     epochs: int = 5
     lr: float = 0.05
     seed: int = 0
-    key_update: str = "momentum"
-    momentum: float = 0.999
+    momentum: float = 0.999         # key <- m*key + (1-m)*query after each step
 
     def validate(self):
         if self.temperature <= 0:
@@ -41,11 +37,8 @@ class WclConfig:
             raise ValueError(f"queue size must be >= 1, got {self.queue_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.key_update not in KEY_UPDATE_MODES:
-            raise ValueError(f"key update must be one of {KEY_UPDATE_MODES}, "
-                             f"got {self.key_update!r}")
-        if self.key_update == "momentum" and not 0.0 < self.momentum < 1.0:
-            raise ValueError(f"momentum must lie strictly in (0, 1), got {self.momentum}")
+        if not 0.0 <= self.momentum <= 1.0:
+            raise ValueError(f"momentum must lie in [0, 1], got {self.momentum}")
 
 
 @dataclass
@@ -179,7 +172,8 @@ def train_wcl(pairs: Sequence[SentencePair], vocab: enc.Vocab,
     Per pair: project and normalize both sides (key side without taping),
     score positive and queue negatives, take the InfoNCE loss,
     backpropagate, rotate the queue with the new key, step the query side
-    only, then refresh the key per the configured mode. Returns per-epoch mean losses.
+    only, then move the key toward the query by the configured momentum.
+    Returns per-epoch mean losses.
     """
     config.validate()
     if not pairs:
@@ -207,8 +201,8 @@ def train_wcl(pairs: Sequence[SentencePair], vocab: enc.Vocab,
                     f"non-finite loss at pair {idx}, epoch {epoch}")
             ad.backward(loss)
             queue.rotate(pos_key.values)   # after backward: msim's grads read the queue
-            sgd_step([query], config.lr)
-            enc.update_key(key, query, config.key_update, config.momentum)
+            sgd_step(query, config.lr)
+            enc.update_key(key, query, config.momentum)
             log.steps += 1
             total += loss.item()
         log.epoch_losses.append(total / len(pairs))

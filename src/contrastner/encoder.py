@@ -3,7 +3,7 @@
 The encoder stands in for the heavyweight masked-language-model backbone:
 an embedding lookup feeding one tanh recurrent layer per direction, the
 two final hidden states concatenated per token. A query copy is trained;
-a key copy is refreshed from it (frozen, momentum, or mirror).
+a key copy follows it by momentum, key <- m*key + (1-m)*query.
 """
 from __future__ import annotations
 
@@ -118,25 +118,16 @@ def init_key_from_query(store: ParamStore, prefix: str = "enc.") -> ParamStore:
     return store.subset(prefix).copy(requires_grad=False)
 
 
-def update_key(key: ParamStore, query: ParamStore, mode: str = "momentum",
-               momentum: float = 0.999):
-    """Refresh key weights from query weights after a training step.
+def update_key(key: ParamStore, query: ParamStore, momentum: float):
+    """Refresh key weights from query weights after a training step:
+    key <- m*key + (1-m)*query for m in [0, 1].
 
-    frozen: leave the key untouched. momentum: key <- m*key + (1-m)*query
-    with m strictly inside (0, 1). mirror: copy query outright.
+    m = 1 keeps the key and m = 0 copies the query, exactly for finite
+    weights other than -0.0.
     """
-    if mode == "frozen":
-        return
-    if mode == "mirror":
-        for name, t in key.items():
-            np.copyto(t.values, query[name].values)
-        return
-    if mode == "momentum":
-        m = float(momentum)
-        if not 0.0 < m < 1.0:
-            raise ValueError(f"momentum must lie strictly in (0, 1), got {m}")
-        for name, t in key.items():
-            t.values *= m
-            t.values += (1.0 - m) * query[name].values
-        return
-    raise ValueError(f"unknown key update mode {mode!r}")
+    m = float(momentum)
+    if not 0.0 <= m <= 1.0:
+        raise ValueError(f"momentum must lie in [0, 1], got {m}")
+    for name, t in key.items():
+        t.values *= m
+        t.values += (1.0 - m) * query[name].values

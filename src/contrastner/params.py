@@ -66,27 +66,23 @@ class ParamStore:
         return out
 
 
-def sgd_step(stores, lr: float):
+def sgd_step(store: ParamStore, lr: float):
     """One descent step p -= lr * grad over every parameter with a grad.
 
     Rejects the whole step if any present gradient is non-finite, naming
     the parameter. All grads are cleared afterwards.
     """
-    if isinstance(stores, ParamStore):
-        stores = [stores]
     lr = float(lr)
     if lr < 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    for store in stores:
-        for name, t in store.items():
-            if t.grad is not None and not np.all(np.isfinite(t.grad)):
-                raise ValueError(f"non-finite gradient in parameter {name}")
-    for store in stores:
-        for _, t in store.items():
-            if t.grad is not None:
-                np.multiply(t.grad, lr, out=t.grad)   # the grad is dropped below
-                t.values -= t.grad
-                t.grad = None
+    for name, t in store.items():
+        if t.grad is not None and not np.all(np.isfinite(t.grad)):
+            raise ValueError(f"non-finite gradient in parameter {name}")
+    for _, t in store.items():
+        if t.grad is not None:
+            np.multiply(t.grad, lr, out=t.grad)   # the grad is dropped below
+            t.values -= t.grad
+            t.grad = None
 
 
 def save_params(store: ParamStore, path):

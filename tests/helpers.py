@@ -377,8 +377,8 @@ def ref_train_wcl(pairs, vocab, query, key, config):
                 raise RuntimeError(
                     f"non-finite loss at pair {idx}, epoch {epoch}")
             ad.backward(loss)
-            sgd_step([query], config.lr)
-            enc.update_key(key, query, config.key_update, config.momentum)
+            sgd_step(query, config.lr)
+            enc.update_key(key, query, config.momentum)
             log.steps += 1
             total += loss.item()
         log.epoch_losses.append(total / len(pairs))

@@ -1,5 +1,6 @@
 """CLI subcommands: wiring, config files, exit codes, manifests."""
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contrastner import cli, encoder, kg, synth
+from contrastner import cli, encoder, kg, synth, tagger
 from contrastner.corpus import TaggedSentence, parse_conll, write_conll
 from contrastner.params import ParamStore, load_params, save_params
 
@@ -100,6 +101,64 @@ def test_stats_missing_file_is_data_error(tmp_path, capsys):
     assert "error: data:" in capsys.readouterr().err
 
 
+def test_input_path_that_is_a_directory_is_data_error(tmp_path, capsys):
+    assert cli.run(["stats", "--train", str(tmp_path)]) == 2
+    assert "error: data:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stats", "train-ner"])
+@pytest.mark.parametrize("out", ["", ".", "no_such_dir/m.bin"],
+                         ids=["empty", "directory", "missing-directory"])
+def test_bad_out_is_data_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                               command, out):
+    def fail(*args, **kwargs):
+        raise AssertionError("trained despite a bad --out")
+    monkeypatch.setattr(tagger, "train_ner", fail)
+    monkeypatch.chdir(tmp_path)
+    train = write_corpus(tmp_path, "train.conll", small_corpus())
+    assert cli.run([command, "--train", str(train), "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: data:" in captured.err and "--out" in captured.err
+    assert out == "" or out in captured.err
+
+
+@pytest.mark.parametrize("command", ["stats", "predict", "correct", "eval"])
+def test_seed_is_no_flag_of_commands_that_draw_no_random_numbers(tmp_path, capsys,
+                                                                 command):
+    corpus_path = str(write_corpus(tmp_path, "c.conll", small_corpus()))
+    args = {"stats": ["--train", corpus_path],
+            "predict": ["--model", str(tmp_path / "m.bin"), "--test", corpus_path,
+                        "--out", str(tmp_path / "p.conll")],
+            "correct": ["--pred", corpus_path, "--out", str(tmp_path / "c.out")],
+            "eval": ["--gold", corpus_path, "--pred", corpus_path]}[command]
+    assert cli.run([command, *args, "--seed", "0"]) == 1
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def _readme_synopses() -> dict:
+    """Each subcommand's flag names in the README's Command line synopsis."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    synopses = {}
+    for line in block.splitlines():
+        if line.startswith("contrastner "):
+            command = line.split()[1]
+            synopses[command] = set()
+        if line.strip():
+            synopses[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return synopses
+
+
+def test_readme_synopsis_lists_every_flag(capsys):
+    synopses = _readme_synopses()
+    assert sorted(synopses) == sorted(cli._COMMANDS)
+    for command, documented in synopses.items():
+        assert cli.run([command, "--help"]) == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert documented == flags - {"--help", "--config"}, command
+
+
 def test_eval_identity(tmp_path, capsys):
     gold = write_corpus(tmp_path, "gold.conll", small_corpus())
     assert cli.run(["eval", "--gold", str(gold), "--pred", str(gold)]) == 0
@@ -160,6 +219,15 @@ def test_train_wcl_deterministic_checkpoints(tmp_path, capsys):
         blobs.append(out.read_bytes())
     capsys.readouterr()
     assert blobs[0] == blobs[1]
+
+
+def test_train_wcl_empty_pairs_is_data_error(tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    out = tmp_path / "x.bin"
+    assert cli.run(["train-wcl", "--pairs", str(empty), "--out", str(out)]) == 2
+    assert f"error: data: {empty}: no pairs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_wcl_validates_config(tmp_path, capsys):

@@ -241,19 +241,22 @@ def make_wcl_setup(seed=0, n_vocab_extra=10):
     return vocab, store, key
 
 
-def test_train_wcl_one_pair_frozen_key():
+@pytest.mark.parametrize("momentum", [1.0, 0.0])
+def test_train_wcl_one_pair_frozen_key(momentum):
     vocab, store, key = make_wcl_setup()
     before_key = {n: t.values.copy() for n, t in key.items()}
     before_query = {n: t.values.copy() for n, t in store.items()}
     pairs = [SentencePair(["w0", "w1"], ["w1", "w0"])]
-    config = ct.WclConfig(epochs=1, queue_size=2, lr=0.1, key_update="frozen",
+    config = ct.WclConfig(epochs=1, queue_size=2, lr=0.1, momentum=momentum,
                           seed=3)
     log = ct.train_wcl(pairs, vocab, store, key, config)
     assert log.steps == 1
     assert len(log.epoch_losses) == 1
-    # key side bit-identical, query side moved
+    # momentum 1: key side bit-identical; momentum 0: bit-identical to the
+    # stepped query encoder. The query side moved either way.
+    want = before_key if momentum == 1.0 else {n: store[n].values for n in key.names()}
     for name, t in key.items():
-        assert t.values.tobytes() == before_key[name].tobytes()
+        assert t.values.tobytes() == want[name].tobytes()
     moved = any(not np.array_equal(t.values, before_query[n])
                 for n, t in store.items())
     assert moved
@@ -304,10 +307,11 @@ def test_wcl_config_validation():
         ct.WclConfig(temperature=0.0).validate()
     with pytest.raises(ValueError):
         ct.WclConfig(queue_size=0).validate()
-    with pytest.raises(ValueError):
-        ct.WclConfig(key_update="drift").validate()
-    with pytest.raises(ValueError):
-        ct.WclConfig(key_update="momentum", momentum=1.0).validate()
+    for bad in (-0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            ct.WclConfig(momentum=bad).validate()
+    for edge in (0.0, 1.0):
+        ct.WclConfig(momentum=edge).validate()
     ct.WclConfig().validate()
 
 
