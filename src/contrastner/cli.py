@@ -113,22 +113,24 @@ def _config_flags(path) -> list:
     """One --key=value flag per key=value line of a config file."""
     flags = []
     try:
-        f = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            lines = list(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    with f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep or not key.strip():
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            flag = "--" + key.strip().replace("_", "-")
-            # argparse would match a prefix such as --conf to --config too
-            if "--config".startswith(flag):
-                raise ConfigError(f"{path}:{lineno}: a config file cannot set --config")
-            flags.append(f"{flag}={value.strip()}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep or not key.strip():
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        flag = "--" + key.strip().replace("_", "-")
+        # argparse would match a prefix such as --conf to --config too
+        if "--config".startswith(flag):
+            raise ConfigError(f"{path}:{lineno}: a config file cannot set --config")
+        flags.append(f"{flag}={value.strip()}")
     return flags
 
 
@@ -358,6 +360,8 @@ def _cmd_predict(ns) -> int:
 
 def _cmd_correct(ns) -> int:
     pred = corpus.parse_conll(ns.pred, strict=True)
+    if ns.l_max < 1:
+        raise ConfigError(f"--l-max must be >= 1, got {ns.l_max}")
     sources = []
     typemap = kg.TypeMap.load(ns.typemap) if ns.typemap else kg.TypeMap.default_conll()
     snapshot = remote = None

@@ -5,7 +5,8 @@ uppercase word is expanded against same-initial token windows of the
 corpus, all contiguous sub-phrases of each expansion are looked up in the
 knowledge graph, and capitalized token windows are looked up directly.
 Surfaces that resolve to a mapped entity type form the potential-entity
-set PE; predicted tags inconsistent with PE are rewritten in place.
+set PE; the corrected corpus is a copy of the prediction whose tags
+inconsistent with PE are rewritten.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import json
 import re
 import urllib.parse
 import urllib.request
+from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from .corpus import DataError, TaggedSentence, bio_to_spans
@@ -213,14 +215,16 @@ def build_pe(sentences: Sequence, kg, l_max: int = DEFAULT_L_MAX) -> PotentialEn
     surface. Independently, every window of <= l_max consecutive
     capitalized tokens is looked up directly. Acronyms are handled in
     first-occurrence order; all of them are expanded in one corpus pass,
-    so the cost is linear in corpus tokens.
+    so the cost is linear in corpus tokens. The window surfaces of each
+    distinct capitalized run are joined once, but every occurrence is
+    looked up, so a lookup that failed can succeed on a later one.
     """
     if l_max < 1:
         raise ValueError(f"l_max must be >= 1, got {l_max}")
     pe = PotentialEntitySet()
     token_lists = [_tokens_of(s) for s in sentences]
-    acronyms = list(dict.fromkeys(
-        w for tokens in token_lists for w in tokens if is_acronym(w)))
+    distinct = dict.fromkeys(w for tokens in token_lists for w in tokens)
+    acronyms = [w for w in distinct if is_acronym(w)]
     expansions = _expansions(acronyms, token_lists)
     for w in acronyms:
         inherited = None
@@ -236,22 +240,23 @@ def build_pe(sentences: Sequence, kg, l_max: int = DEFAULT_L_MAX) -> PotentialEn
             pe.add(w, own)
         if inherited:
             pe.add(w, inherited)
+    capital = {w: w[:1].isupper() for w in distinct}
+    windows: dict = {}   # capitalized run -> its window surfaces, in lookup order
     for tokens in token_lists:
-        t = 0
-        while t < len(tokens):
-            if not tokens[t][:1].isupper():
-                t += 1
+        for is_capital, group in groupby(tokens, capital.__getitem__):
+            if not is_capital:
                 continue
-            run = t
-            while run < len(tokens) and tokens[run][:1].isupper():
-                run += 1
-            for length in range(1, min(l_max, run - t) + 1):
-                for start in range(t, run - length + 1):
-                    surface = " ".join(tokens[start:start + length])
-                    types = kg.lookup(surface)
-                    if types:
-                        pe.add(surface, types)
-            t = run
+            run = tuple(group)
+            surfaces = windows.get(run)
+            if surfaces is None:
+                surfaces = windows[run] = [
+                    " ".join(run[start:start + length])
+                    for length in range(1, min(l_max, len(run)) + 1)
+                    for start in range(len(run) - length + 1)]
+            for surface in surfaces:
+                types = kg.lookup(surface)
+                if types:
+                    pe.add(surface, types)
     return pe
 
 
@@ -307,11 +312,17 @@ def modify_entities(sentences: Sequence[TaggedSentence],
     surface's resolved type. Token text is never changed, so the pass is
     idempotent. Matching is case-sensitive. The surfaces go into one token
     trie, so the work per token is bounded by the longest surface, not by
-    the size of the PE set.
+    the size of the PE set. A sentence holding no first token of a PE
+    surface is copied through without a claim scan; every distinct tag of
+    the corpus is still checked, first occurrence first.
     """
+    bio_to_spans(list(dict.fromkeys(t for sent in sentences for t in sent.tags)))
     trie = _surface_trie(pe)
     out = []
     for sent in sentences:
+        if trie.keys().isdisjoint(sent.tokens):
+            out.append(TaggedSentence(list(sent.tokens), list(sent.tags)))
+            continue
         spans = bio_to_spans(sent.tags)
         tags = list(sent.tags)
         for start, length, surface in _claim_matches(sent.tokens, trie):

@@ -606,6 +606,26 @@ def test_correct_endpoint_needs_cache(tmp_path, capsys):
     assert "kg-cache" in capsys.readouterr().err
 
 
+def test_correct_l_max_below_one_is_config_error(tmp_path, capsys):
+    pred_path = write_corpus(tmp_path, "pred.conll", small_corpus())
+    out = tmp_path / "c.conll"
+    # checked before any snapshot or endpoint is opened: a snapshot that
+    # does not exist is never reached
+    for extra in ([], ["--kg", str(tmp_path / "missing.tsv")],
+                  ["--kg-endpoint", "http://kg.test/{q}"]):
+        rc = cli.run(["correct", "--pred", str(pred_path), "--l-max", "0",
+                      "--out", str(out)] + extra)
+        assert rc == 1
+        assert "--l-max must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+    # a malformed corpus is still reported first
+    bad = tmp_path / "bad.conll"
+    bad.write_text("said XYZ\n")
+    assert cli.run(["correct", "--pred", str(bad), "--l-max", "0",
+                    "--out", str(out)]) == 2
+    assert "malformed tag" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults_flags_win(tmp_path, capsys):
     gold = write_corpus(tmp_path, "gold.conll", small_corpus())
     other = write_corpus(tmp_path, "other.conll", [
@@ -650,6 +670,21 @@ def test_config_file_errors(tmp_path, capsys):
     assert cli.run(["eval", "--config", str(other_command), "--gold", str(gold),
                     "--pred", str(gold)]) == 1
     capsys.readouterr()
+
+
+def test_config_file_that_cannot_be_read_is_config_error(tmp_path, capsys):
+    gold = write_corpus(tmp_path, "gold.conll", small_corpus())
+    directory = tmp_path / "cfg_dir"
+    directory.mkdir()
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes(b"pred=caf\xe9.conll\n")
+    for config in (directory, not_utf8):
+        capsys.readouterr()
+        assert cli.run(["eval", "--config", str(config), "--gold", str(gold),
+                        "--pred", str(gold)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: cannot read config file")
+        assert str(config) in err
 
 
 def test_config_file_type_casting(tmp_path, capsys):

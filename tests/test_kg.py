@@ -1,13 +1,14 @@
 """Knowledge-graph snapshot index, phrase retrieval, entity modification."""
 import json
 import random
+import urllib.parse
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from contrastner import kg
+from contrastner import kg, synth
 from contrastner.corpus import (
     DataError, Span, TaggedSentence, bio_to_spans, spans_to_bio, validate_tags)
 
@@ -210,6 +211,22 @@ def test_modify_entities_empty_pe_identity():
     assert out[0].tokens == pred[0].tokens
 
 
+@pytest.mark.parametrize("surfaces", [[], ["Zeta", "Omega Point"]])
+def test_modify_entities_checks_tags_of_sentences_with_nothing_to_claim(surfaces):
+    pe = kg.PotentialEntitySet()
+    for surface in surfaces:
+        pe.add(surface, ["ORG"])
+    # the malformed tags sit in sentences that no PE surface starts in
+    pred = [TaggedSentence(["a", "b"], ["B-PER", "O"]),
+            TaggedSentence(["c", "d"], ["O", "B-"]),
+            TaggedSentence(["e"], ["XYZ"])]
+    with pytest.raises(ValueError) as got:
+        kg.modify_entities(pred, pe)
+    with pytest.raises(ValueError) as want:
+        helpers.ref_modify_entities(pred, pe)
+    assert str(got.value) == str(want.value) == "malformed tag 'B-'"
+
+
 def test_modify_entities_wrong_type_rewritten():
     pe = kg.PotentialEntitySet()
     pe.add("Paris", ["LOC"])
@@ -353,6 +370,76 @@ def test_build_pe_and_modify_entities_match_reference(sentences, entries, l_max)
     got = kg.modify_entities(pred, pe)
     want = helpers.ref_modify_entities(pred, ref_pe)
     assert [(s.tokens, s.tags) for s in got] == [(s.tokens, s.tags) for s in want]
+
+
+def flaky_fetch(answers):
+    """A fetch that fails on the first request for each surface and answers
+    from `answers` after; it records every URL it is asked for."""
+    urls = []
+
+    def fetch(url):
+        urls.append(url)
+        if urls.count(url) == 1:
+            raise OSError("transient")
+        surface = urllib.parse.unquote(url.removeprefix("http://kg.test/"))
+        return json.dumps(answers.get(surface, []))
+    return fetch, urls
+
+
+def test_build_pe_retries_failed_remote_lookups_like_reference(tmp_path):
+    answers = {"New York": ["Place"], "York": ["Person"]}
+    pred = [["Deals", "in", "New", "York", "grew"],
+            ["the", "New", "York", "office"],
+            ["from", "New", "York", "."]]
+    remotes = []
+    for name, harvest in (("fast", kg.build_pe), ("ref", helpers.ref_build_pe)):
+        fetch, urls = flaky_fetch(answers)
+        remote = kg.RemoteLookup("http://kg.test/{q}", tmp_path / f"{name}.tsv",
+                                 fetch=fetch)
+        remotes.append((list(harvest(pred, remote).items()), remote.warnings,
+                        remote.network_calls, urls))
+    assert remotes[0] == remotes[1]
+    items, warnings, network_calls, urls = remotes[0]
+    # the first request for each of the four surfaces fails; the next
+    # occurrence of a recurring one fetches and caches it, so the third
+    # is answered from the cache
+    assert dict(items) == {"New York": ("LOC",), "York": ("PER",)}
+    assert warnings == 4
+    assert network_calls == len(urls) == 7
+
+
+def test_build_pe_and_modify_entities_match_reference_on_fixture_corpus():
+    train, _ = synth.ner_fixture(seed=5, n_train=300, n_test=0)
+    names = [["Kanor", "Belix", "Tuvam"], ["Orvel", "Anis"],
+             ["Quill", "Ember", "Rothwell", "Systems"]]
+    index = kg.KgIndex()
+    # gold spans of some fixture sentences, some of them under another type,
+    # so that the pass both keeps and rewrites predicted spans
+    for i, sent in enumerate(train[::9]):
+        for span in sorted(bio_to_spans(sent.tags)):
+            surface = " ".join(sent.tokens[span.start:span.end + 1])
+            index.add(surface, span.type_ if i % 2 else TYPES[len(surface) % 4])
+    # predictions lose every entity in a few sentences
+    pred = [TaggedSentence(s.tokens, ["O"] * len(s)) if i % 13 == 0 else s
+            for i, s in enumerate(train)]
+    for k, name in enumerate(names):
+        index.add(" ".join(name), "ORG")
+        acronym = "".join(w[0] for w in name)
+        pred.insert(90 * k + 40, TaggedSentence(
+            [acronym, "approved", "the", "budget", "."], ["O"] * 5))
+        pred.insert(90 * k, TaggedSentence(
+            ["the"] + name + ["announced", "a", "plan", "."],
+            ["O", "B-ORG"] + ["I-ORG"] * (len(name) - 1) + ["O"] * 4))
+    fast, ref = RecordingLookup(index), RecordingLookup(index)
+    pe = kg.build_pe(pred, fast)
+    ref_pe = helpers.ref_build_pe(pred, ref)
+    assert list(pe.items()) == list(ref_pe.items())
+    assert fast.calls == ref.calls
+    assert all(acronym in pe for acronym in ("KBT", "OA", "QERS"))
+    got = kg.modify_entities(pred, pe)
+    want = helpers.ref_modify_entities(pred, ref_pe)
+    assert [(s.tokens, s.tags) for s in got] == [(s.tokens, s.tags) for s in want]
+    assert sum(g.tags != p.tags for g, p in zip(got, pred)) > 10
 
 
 @settings(max_examples=300, deadline=None)
