@@ -19,7 +19,14 @@ _GRAD_ENABLED = True
 
 
 class Tensor:
-    __slots__ = ("values", "grad", "requires_grad")
+    """A value and, after backward, its gradient.
+
+    grad is None until a backward reaches the tensor. clear_grad (which
+    sgd_step calls) empties it but keeps its array, and the next backward
+    writes into that array again: each training step reuses a parameter's
+    grad array, and a reference to an old grad sees it overwritten.
+    """
+    __slots__ = ("values", "grad", "requires_grad", "_spare")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
@@ -27,6 +34,11 @@ class Tensor:
             raise ValueError(f"tensors are at most 2-d, got shape {self.values.shape}")
         self.grad = None
         self.requires_grad = bool(requires_grad)
+        self._spare = None
+
+    def clear_grad(self):
+        """grad becomes None; its array is kept for the next backward."""
+        self._spare, self.grad = self.grad, None
 
     @property
     def shape(self):
@@ -74,12 +86,18 @@ def _record(out: Tensor, inputs: Sequence[Tensor], bwd) -> Tensor:
     return out
 
 
+def _empty_grad(t: Tensor) -> np.ndarray:
+    """An array for t.grad to start in: the one clear_grad kept, if any."""
+    buf, t._spare = t._spare, None
+    return np.empty_like(t.values) if buf is None else buf
+
+
 def _accum(t: Tensor, g):
     if not t.requires_grad:
         return
     if t.grad is None:
         # 0.0 + g, not a copy of g: a -0.0 entry becomes +0.0
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.values))
+        t.grad = np.add(g, 0.0, out=_empty_grad(t))
     else:
         t.grad += g
 
@@ -215,14 +233,22 @@ def tanh(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def _sigmoid(v):
-    """Logistic function, exp taken only of non-positive arguments."""
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(v, out):
+    """Logistic function of v written into out, which may be v itself; exp
+    is taken only of non-positive arguments.
+
+    With e = exp(-|v|) <= 1, max(e, v >= 0) is 1 where v >= 0 and e
+    elsewhere (NaN stays NaN), so out is 1 / (1 + e) or e / (1 + e).
+    """
+    e = np.abs(v, out=np.empty_like(v))
+    np.exp(np.negative(e, out=e), out=e)
+    np.maximum(e, v >= 0, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid(x.values)
+    y = _sigmoid(x.values, np.empty_like(x.values))
     out = Tensor(y)
 
     def bwd(g):
@@ -341,7 +367,8 @@ def index(t: Tensor, key) -> Tensor:
     def bwd(g):
         if t.requires_grad:
             if t.grad is None:
-                t.grad = np.zeros_like(t.values)
+                t.grad = _empty_grad(t)
+                t.grad.fill(0.0)
             np.add.at(t.grad, key, g)
     return _record(out, (t,), bwd)
 
@@ -449,27 +476,31 @@ def recurrent(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
     n_rows = xv.shape[0]
     perm, n_seq, blocks, prev_rows = _scan_plan(
         None if lengths is None else tuple(lengths), n_rows, reverse)
+    # Each step writes only into rows of the buffers below, in place.
     p = (xv @ wx.T + bv)[perm]         # row k is the projection of row perm[k] of x
     hs = np.zeros((n_seq + n_rows, hd))
     states = hs[n_seq:]                # row k is the state after packed row k
     wh_t = wh.T
     if cell == "tanh":
         for k, j in blocks:
-            states[k] = np.tanh(p[k] + hs[j] @ wh_t)
+            z = p[k]
+            z += hs[j] @ wh_t
+            np.tanh(z, out=states[k])
     else:
-        gate = slice(2 * hd, 3 * hd)
+        gate, o = slice(2 * hd, 3 * hd), slice(3 * hd, None)
         acts = p                       # i, f, g, o activations overwrite each row
         cs = np.zeros((n_seq + n_rows, hd))   # cell states, laid out as hs
         c_states = cs[n_seq:]
         tcs = np.empty((n_rows, hd))   # tanh(c)
         for k, j in blocks:
-            z = p[k] + hs[j] @ wh_t
-            a = _sigmoid(z)
-            a[..., gate] = np.tanh(z[..., gate])
-            c = a[..., hd:2 * hd] * cs[j] + a[..., :hd] * a[..., gate]
-            tc = np.tanh(c)
-            acts[k], c_states[k], tcs[k] = a, c, tc
-            states[k] = a[..., 3 * hd:] * tc
+            a = p[k]
+            a += hs[j] @ wh_t
+            g = np.tanh(a[..., gate], out=tcs[k])   # held there until tanh(c)
+            _sigmoid(a, out=a)
+            a[..., gate] = g
+            c = np.multiply(a[..., hd:2 * hd], cs[j], out=c_states[k])
+            c += a[..., :hd] * a[..., gate]
+            np.multiply(a[..., o], np.tanh(c, out=tcs[k]), out=states[k])
     out = np.empty((n_rows, hd))
     out[perm] = states
 
@@ -481,27 +512,32 @@ def recurrent(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
         if cell == "tanh":
             dact = 1.0 - states * states
             for k, j in reversed(blocks):
-                dp[k] = dz = dstates[k] * dact[k]
+                dz = np.multiply(dstates[k], dact[k], out=dp[k])
                 dhs[j] += dz @ wh
         else:
             dact = acts * (1.0 - acts)
             dact[:, gate] = 1.0 - acts[:, gate] ** 2
-            dc_dh = acts[:, 3 * hd:] * (1.0 - tcs * tcs)
+            dc_dh = acts[:, o] * (1.0 - tcs * tcs)
             dcs = np.zeros((n_seq + n_rows, hd))   # gradient into each cell state
             dc_states = dcs[n_seq:]
             for k, j in reversed(blocks):
                 a, dz, dht = acts[k], dp[k], dstates[k]
-                dc = dht * dc_dh[k] + dc_states[k]
-                dz[..., :hd] = dc * a[..., gate]
-                dz[..., hd:2 * hd] = dc * cs[j]
-                dz[..., gate] = dc * a[..., :hd]
-                dz[..., 3 * hd:] = dht * tcs[k]
+                do = dz[..., o]        # holds dht * dc_dh until the output gate's turn
+                dc = dc_states[k]
+                dc += np.multiply(dht, dc_dh[k], out=do)
+                np.multiply(dc, a[..., gate], out=dz[..., :hd])
+                np.multiply(dc, cs[j], out=dz[..., hd:2 * hd])
+                np.multiply(dc, a[..., :hd], out=dz[..., gate])
+                np.multiply(dht, tcs[k], out=do)
                 dz *= dact[k]
-                dcs[j] = dc * a[..., hd:2 * hd]
+                np.multiply(dc, a[..., hd:2 * hd], out=dcs[j])
                 dhs[j] += dz @ wh
         # weight gradients sum over x's rows in their order, whatever the packing
-        dpre = np.empty_like(dp)
-        dpre[perm] = dp
+        if n_seq == 1:
+            dpre = dp[perm]            # perm is a slice: a view
+        else:
+            dpre = np.empty_like(dp)
+            dpre[perm] = dp
         _accum(x, dpre @ wx)
         _accum(w_x, dpre.T @ xv)
         _accum(w_h, dpre.T @ hs[prev_rows])

@@ -11,6 +11,7 @@ The queue rotates by one after each pair: eldest out, current key in.
 """
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -85,7 +86,8 @@ class NegativeQueue:
         self.size = size
         self.dim = dim
         units = _unit_rows(rng.standard_normal((size, dim)))
-        self._rows = np.concatenate((units, units))
+        self._rows = _page_aligned(2 * size, dim)
+        self._rows[:size] = self._rows[size:] = units
         self._head = 0
         self.rotations = 0
 
@@ -108,6 +110,15 @@ class NegativeQueue:
         view = self._rows[self._head:self._head + self.size]
         view.flags.writeable = False
         return view
+
+
+def _page_aligned(rows: int, cols: int) -> np.ndarray:
+    """An empty (rows, cols) float64 array that starts on a memory page, so
+    that the speed of reading it does not follow where the heap placed it."""
+    pad = mmap.PAGESIZE // 8
+    raw = np.empty(rows * cols + pad)
+    skip = (-raw.ctypes.data % mmap.PAGESIZE) // 8
+    return raw[skip:skip + rows * cols].reshape(rows, cols)
 
 
 def _unit_rows(q: np.ndarray) -> np.ndarray:

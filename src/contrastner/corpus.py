@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 CONLL2003_TYPES = ("PER", "LOC", "ORG", "MISC")
 
@@ -38,9 +38,9 @@ class TaggedSentence:
         return len(self.tokens)
 
 
-@dataclass(frozen=True, order=True)
-class Span:
-    """Entity span: inclusive token indices and its type label."""
+class Span(NamedTuple):
+    """Entity span: inclusive token indices and its type label. A tuple, so
+    Span(0, 1, "PER") == (0, 1, "PER"), and it hashes and orders as one."""
     start: int
     end: int
     type_: str

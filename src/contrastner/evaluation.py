@@ -6,6 +6,7 @@ zero denominator yields 0 rather than an error.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
@@ -44,18 +45,20 @@ def count_matches(gold: Sequence[TaggedSentence],
         if g.tokens != p.tokens:
             raise DataError(f"sentence {i}: gold and predicted tokens differ")
         counts.tokens += len(g)
-        counts.correct_tokens += sum(a == b for a, b in zip(g.tags, p.tags))
         gspans = bio_to_spans(g.tags)
-        pspans = bio_to_spans(p.tags)
+        if g.tags == p.tags:
+            counts.correct_tokens += len(g)
+            pspans = correct = gspans
+        else:
+            counts.correct_tokens += sum(map(operator.eq, g.tags, p.tags))
+            pspans = bio_to_spans(p.tags)
+            correct = gspans & pspans
         counts.gold_spans += len(gspans)
         counts.pred_spans += len(pspans)
-        counts.correct_spans += len(gspans & pspans)
-        for s in gspans:
-            counts.per_type.setdefault(s.type_, [0, 0, 0])[0] += 1
-        for s in pspans:
-            counts.per_type.setdefault(s.type_, [0, 0, 0])[1] += 1
-        for s in gspans & pspans:
-            counts.per_type.setdefault(s.type_, [0, 0, 0])[2] += 1
+        counts.correct_spans += len(correct)
+        for column, spans in enumerate((gspans, pspans, correct)):
+            for _, _, type_ in spans:
+                counts.per_type.setdefault(type_, [0, 0, 0])[column] += 1
     return counts
 
 

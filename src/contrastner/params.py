@@ -70,7 +70,8 @@ def sgd_step(store: ParamStore, lr: float):
     """One descent step p -= lr * grad over every parameter with a grad.
 
     Rejects the whole step if any present gradient is non-finite, naming
-    the parameter. All grads are cleared afterwards.
+    the parameter. All grads are cleared afterwards (Tensor.clear_grad), so
+    the next backward writes into the same arrays.
     """
     lr = float(lr)
     if lr < 0:
@@ -80,9 +81,9 @@ def sgd_step(store: ParamStore, lr: float):
             raise ValueError(f"non-finite gradient in parameter {name}")
     for _, t in store.items():
         if t.grad is not None:
-            np.multiply(t.grad, lr, out=t.grad)   # the grad is dropped below
+            np.multiply(t.grad, lr, out=t.grad)   # the grad is cleared below
             t.values -= t.grad
-            t.grad = None
+            t.clear_grad()
 
 
 def save_params(store: ParamStore, path):

@@ -17,9 +17,10 @@ from .corpus import TaggedSentence
 from .params import ParamStore, sgd_step
 
 NEG_INF = -1e30  # stands in for -inf; keeps exp/log backward NaN-free
-# predict decodes sentences in packed chunks of at most this many tokens (a
-# longer sentence is a chunk of its own). It bounds the working set: at the
-# default sizes (64 wide) one recurrent direction of a chunk takes ~1.3 MB.
+# predict runs the encoder and BiLSTM over packed chunks of at most this many
+# tokens (a longer sentence is a chunk of its own). It bounds the recurrent
+# working set: at the default sizes (64 wide) one direction of a chunk takes
+# ~1.3 MB. Viterbi then runs once over every chunk's emissions.
 PREDICT_CHUNK_TOKENS = 256
 
 
@@ -322,22 +323,31 @@ def predict(sentences, vocab: enc.Vocab, store: ParamStore,
             tag_list: Sequence[str], strict: bool = False) -> list:
     """Viterbi-decode token lists (or TaggedSentences) into TaggedSentences.
 
-    Sentences are decoded in length-sorted chunks, one packed encoder,
-    BiLSTM and Viterbi pass per chunk; the result is in input order.
+    The encoder and BiLSTM run over length-sorted chunks of sentences, one
+    packed pass per chunk; then one viterbi_packed pass decodes every
+    sentence at once. Its memory grows with tokens x tags (the backpointers);
+    the chunks bound only the recurrent working set. The result is in input
+    order.
     """
     trans = store["crf.trans"].values
     if strict:
         trans = trans + transition_mask(tag_list)
     token_lists = [sent.tokens if isinstance(sent, TaggedSentence) else list(sent)
                    for sent in sentences]
-    out = [None] * len(token_lists)
+    order, emis = [], []
     with ad.no_grad():
         for chunk in _length_sorted_chunks(token_lists):
             lengths = [len(token_lists[i]) for i in chunk]
             tokens = [tok for i in chunk for tok in token_lists[i]]
             feats = bilstm_forward(
                 store, enc.encode(store, vocab, tokens, lengths=lengths), lengths)
-            paths = viterbi_packed(emissions(store, feats).values, trans, lengths)
-            for i, path in zip(chunk, paths):
-                out[i] = TaggedSentence(token_lists[i], [tag_list[t] for t in path.ids])
+            emis.append(emissions(store, feats).values)
+            order += chunk
+    if not order:
+        return []
+    paths = viterbi_packed(np.concatenate(emis), trans,
+                           [len(token_lists[i]) for i in order])
+    out = [None] * len(token_lists)
+    for i, path in zip(order, paths):
+        out[i] = TaggedSentence(token_lists[i], [tag_list[t] for t in path.ids])
     return out

@@ -147,6 +147,108 @@ def ref_crf_nll(emis_rows, trans, tag_ids):
 
 
 # ---------------------------------------------------------------------------
+# reference scan: ad.recurrent as it was before its steps wrote in place,
+# a fresh array per expression, kept verbatim to pin the in-place steps to
+# the same bits (outputs and gradients).
+
+def ref_sigmoid(v):
+    """The logistic as np.where picks its numerator."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+
+def ref_recurrent(x, w_x, w_h, b, cell="tanh", reverse=False, lengths=None):
+    xv, wx, wh, bv = x.values, w_x.values, w_h.values, b.values
+    hd = wh.shape[1]
+    width = (4 if cell == "lstm" else 1) * hd
+    n_rows = xv.shape[0]
+    perm, n_seq, blocks, prev_rows = ad._scan_plan(
+        None if lengths is None else tuple(lengths), n_rows, reverse)
+    p = (xv @ wx.T + bv)[perm]
+    hs = np.zeros((n_seq + n_rows, hd))
+    states = hs[n_seq:]
+    wh_t = wh.T
+    if cell == "tanh":
+        for k, j in blocks:
+            states[k] = np.tanh(p[k] + hs[j] @ wh_t)
+    else:
+        gate = slice(2 * hd, 3 * hd)
+        acts = p
+        cs = np.zeros((n_seq + n_rows, hd))
+        c_states = cs[n_seq:]
+        tcs = np.empty((n_rows, hd))
+        for k, j in blocks:
+            z = p[k] + hs[j] @ wh_t
+            a = ref_sigmoid(z)
+            a[..., gate] = np.tanh(z[..., gate])
+            c = a[..., hd:2 * hd] * cs[j] + a[..., :hd] * a[..., gate]
+            tc = np.tanh(c)
+            acts[k], c_states[k], tcs[k] = a, c, tc
+            states[k] = a[..., 3 * hd:] * tc
+    out = np.empty((n_rows, hd))
+    out[perm] = states
+
+    def bwd(g):
+        dp = np.empty((n_rows, width))
+        dhs = np.zeros((n_seq + n_rows, hd))
+        dstates = dhs[n_seq:]
+        dstates[:] = g[perm]
+        if cell == "tanh":
+            dact = 1.0 - states * states
+            for k, j in reversed(blocks):
+                dp[k] = dz = dstates[k] * dact[k]
+                dhs[j] += dz @ wh
+        else:
+            dact = acts * (1.0 - acts)
+            dact[:, gate] = 1.0 - acts[:, gate] ** 2
+            dc_dh = acts[:, 3 * hd:] * (1.0 - tcs * tcs)
+            dcs = np.zeros((n_seq + n_rows, hd))
+            dc_states = dcs[n_seq:]
+            for k, j in reversed(blocks):
+                a, dz, dht = acts[k], dp[k], dstates[k]
+                dc = dht * dc_dh[k] + dc_states[k]
+                dz[..., :hd] = dc * a[..., gate]
+                dz[..., hd:2 * hd] = dc * cs[j]
+                dz[..., gate] = dc * a[..., :hd]
+                dz[..., 3 * hd:] = dht * tcs[k]
+                dz *= dact[k]
+                dcs[j] = dc * a[..., hd:2 * hd]
+                dhs[j] += dz @ wh
+        dpre = np.empty_like(dp)
+        dpre[perm] = dp
+        ad._accum(x, dpre @ wx)
+        ad._accum(w_x, dpre.T @ xv)
+        ad._accum(w_h, dpre.T @ hs[prev_rows])
+        ad._accum(b, dpre.sum(axis=0))
+    return ad._record(ad.Tensor(out), (x, w_x, w_h, b), bwd)
+
+
+# ---------------------------------------------------------------------------
+# reference span count: evaluation.count_matches as it was before it
+# skipped the second extraction for a sentence predicted exactly, kept
+# verbatim (with its DataError checks left out) to pin the fast path.
+
+def ref_count_matches(gold, pred):
+    from contrastner.evaluation import EvalCounts
+    counts = EvalCounts()
+    for g, p in zip(gold, pred):
+        counts.tokens += len(g)
+        counts.correct_tokens += sum(a == b for a, b in zip(g.tags, p.tags))
+        gspans = bio_to_spans(g.tags)
+        pspans = bio_to_spans(p.tags)
+        counts.gold_spans += len(gspans)
+        counts.pred_spans += len(pspans)
+        counts.correct_spans += len(gspans & pspans)
+        for s in gspans:
+            counts.per_type.setdefault(s.type_, [0, 0, 0])[0] += 1
+        for s in pspans:
+            counts.per_type.setdefault(s.type_, [0, 0, 0])[1] += 1
+        for s in gspans & pspans:
+            counts.per_type.setdefault(s.type_, [0, 0, 0])[2] += 1
+    return counts
+
+
+# ---------------------------------------------------------------------------
 # reference KG correction: the quadratic harvest (one corpus scan per
 # acronym) and claim pass (every PE surface at every token position) that
 # the acronym-window index and the surface trie replace, kept verbatim to

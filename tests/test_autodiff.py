@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from contrastner import autodiff as ad
-from helpers import check_gradients, rel_err
+from contrastner.params import ParamStore, sgd_step
+from helpers import check_gradients, ref_recurrent, ref_sigmoid, rel_err
 
 
 def tensor(values):
@@ -208,6 +209,86 @@ def test_recurrent_is_one_tape_entry_per_direction():
         ad.recurrent(x, w_x, w_h, b, cell="lstm", reverse=reverse)
     assert ad.tape_size() == 2
     ad.reset_tape()
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("cell", ["tanh", "lstm"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_recurrent_in_place_steps_match_allocating_loop_bitwise(cell, reverse):
+    # outputs and every gradient bit for bit against the loop that made a
+    # fresh array per expression: one sequence (T=1 included) and packed ones
+    rng = np.random.default_rng(22)
+    cases = [(1, None), (7, None), (5, [5]), (16, [3, 1, 5, 5, 2]), (3, [1, 1, 1]),
+             (21, [1, 2, 3, 4, 5, 6])]
+    for n_rows, lengths in cases:
+        d_in, hidden = 3, 4
+        width = (4 if cell == "lstm" else 1) * hidden
+        x = _rand(rng, n_rows, d_in)
+        x.values[0, 0] = -0.0
+        params = [_rand(rng, width, d_in), _rand(rng, width, hidden), _rand(rng, width)]
+        probe = rng.normal(size=(n_rows, hidden))
+
+        def run(op):
+            out = op(x, *params, cell=cell, reverse=reverse, lengths=lengths)
+            ad.backward(ad.fused(float(np.sum(out.values * probe)), (out,),
+                                 lambda g: (g * probe,)))
+            grads = [t.grad for t in [x] + params]
+            for t in [x] + params:
+                t.grad = None
+            return [_bits(v) for v in [out.values] + grads]
+
+        assert run(ad.recurrent) == run(ref_recurrent)
+
+
+def test_in_place_logistic_equals_where_form_bitwise():
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 1e-300, -1e-300]
+    v = np.concatenate([special, np.random.default_rng(3).normal(0, 20, 64)])
+    want = _bits(ref_sigmoid(v))
+    assert _bits(ad._sigmoid(v, np.empty_like(v))) == want
+    w = v.copy()
+    assert _bits(ad._sigmoid(w, out=w)) == want
+    assert _bits(w) == want
+    m = v[:72].reshape(8, 9).copy()    # a strided column block, as in the scan
+    ad._sigmoid(m[:, 2:5], out=m[:, 2:5])
+    assert _bits(m[:, 2:5]) == _bits(ref_sigmoid(v[:72].reshape(8, 9)[:, 2:5]))
+    for s in special:
+        assert _bits(ad._sigmoid(np.array(s), np.empty(()))) == _bits(ref_sigmoid(np.array(s)))
+
+
+def test_sgd_step_hands_the_grad_array_to_the_next_backward():
+    store = ParamStore()
+    w = store.add("w", [[1.0, -2.0], [3.0, 0.5]])
+    e = store.add("e", np.arange(6.0).reshape(3, 2))
+    rows = np.array([2, 0, 2])
+
+    def step():
+        h = ad.matmul(ad.index(e, rows), w)
+        ad.backward(ad.fused(float(h.values.sum()), (h,), lambda g: (np.full((3, 2), g),)))
+        return w.grad, e.grad
+
+    gw, ge = step()
+    fresh = gw.copy(), ge.copy()
+    sgd_step(store, 0.0)
+    assert w.grad is None and e.grad is None
+    again = step()
+    assert again[0] is gw and again[1] is ge     # the same arrays, refilled
+    assert _bits(again[0]) == _bits(fresh[0]) and _bits(again[1]) == _bits(fresh[1])
+    w.grad = e.grad = None                       # dropped by hand: not reused
+    third = step()
+    assert third[0] is not gw and third[1] is not ge
+
+
+def test_first_gradient_write_turns_negative_zero_positive():
+    store = ParamStore()
+    w = store.add("w", [1.0, 2.0])
+    for _ in range(2):                           # a fresh array, then a reused one
+        ad.backward(ad.fused(0.0, (w,), lambda g: (np.array([-0.0, 0.0]),)))
+        assert not np.signbit(w.grad).any()
+        sgd_step(store, 1.0)
 
 
 # ---------------------------------------------------------------------------

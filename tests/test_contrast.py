@@ -1,5 +1,6 @@
 """Projection head, similarity, negative queue, InfoNCE, WCL training."""
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -132,6 +133,14 @@ def test_queue_matrix_is_a_read_only_view():
     assert not m.flags.writeable and not m.flags.owndata
     with pytest.raises(ValueError):
         m[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("size, dim", [(1, 1), (3, 2), (4096, 4), (5, 7)])
+def test_queue_buffer_starts_on_a_page(size, dim):
+    q = ct.NegativeQueue(size, dim, np.random.default_rng(size))
+    assert q._rows.shape == (2 * size, dim) and q._rows.flags.c_contiguous
+    assert q._rows.ctypes.data % mmap.PAGESIZE == 0
+    assert np.array_equal(q._rows[:size], q._rows[size:])
 
 
 def test_build_msim_orthogonal_negative():

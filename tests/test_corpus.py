@@ -119,6 +119,15 @@ def test_bio_to_spans_adjacent_and_trailing():
         Span(0, 0, "PER"), Span(1, 1, "LOC")}
 
 
+def test_span_is_a_tuple_of_its_fields():
+    s = Span(2, 4, "ORG")
+    assert (s.start, s.end, s.type_) == (2, 4, "ORG")
+    assert s == (2, 4, "ORG") and hash(s) == hash((2, 4, "ORG"))
+    assert repr(s) == str(s) == "Span(start=2, end=4, type_='ORG')"
+    assert sorted([Span(3, 3, "A"), Span(1, 2, "B"), Span(1, 1, "C")]) == [
+        (1, 1, "C"), (1, 2, "B"), (3, 3, "A")]
+
+
 @pytest.mark.parametrize("tags", [["B-"], ["I-"], ["B-PER", "I-"], ["PER"]])
 def test_bio_to_spans_rejects_malformed_tags(tags):
     with pytest.raises(ValueError, match="malformed tag"):

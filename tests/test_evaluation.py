@@ -2,9 +2,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contrastner import evaluation as ev
 from contrastner.corpus import Span, TaggedSentence, spans_to_bio, write_conll
+from helpers import ref_count_matches
 
 TYPES = ("PER", "LOC", "ORG", "MISC")
 
@@ -216,3 +219,32 @@ def test_report_machine_readable_lines():
     assert float(tail["recall"]) == 1.0
     assert abs(float(tail["f1"]) - 2 / 3) < 1e-12
     assert float(tail["accuracy"]) == 0.5
+
+
+tag_st = st.sampled_from(["O", "B-PER", "I-PER", "B-LOC", "I-LOC", "I-ORG"])
+
+
+@st.composite
+def gold_pred_st(draw):
+    """A gold tag list and a prediction: the same list, an edit of it, or
+    an independent draw of the same length."""
+    gold = draw(st.lists(tag_st, min_size=1, max_size=8))
+    kind = draw(st.sampled_from(["equal", "edit", "draw"]))
+    if kind == "equal":
+        pred = list(gold)
+    elif kind == "edit":
+        pred = list(gold)
+        pred[draw(st.integers(0, len(gold) - 1))] = draw(tag_st)
+    else:
+        pred = draw(st.lists(tag_st, min_size=len(gold), max_size=len(gold)))
+    return gold, pred
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(gold_pred_st(), max_size=6))
+def test_count_matches_equals_plain_reference(pairs):
+    gold = sents(*(g for g, _ in pairs))
+    pred = sents(*(p for _, p in pairs))
+    got, want = ev.count_matches(gold, pred), ref_count_matches(gold, pred)
+    assert got == want
+    assert list(got.per_type) == list(want.per_type)

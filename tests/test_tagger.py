@@ -527,6 +527,27 @@ def test_predict_batched_matches_per_sentence_reference():
             tg.predict(sents[:5] + [[]] + sents[5:], vocab, store, tag_list, strict)
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_predict_tags_do_not_depend_on_the_chunk_size(monkeypatch, strict):
+    # one sentence per chunk, a few per chunk, and the default: same tags
+    rng = np.random.default_rng(18)
+    words = ["w%d" % i for i in range(10)]
+    vocab = enc.Vocab(words)
+    tag_list = tg.bio_tag_list(["PER", "LOC"])
+    store = ParamStore()
+    enc.init_encoder(store, "enc.", len(vocab), 5, 4, rng)
+    tg.init_tagger(store, enc.output_dim(store), 3, len(tag_list), rng)
+    store["crf.trans"].values[:] = rng.normal(size=store["crf.trans"].values.shape)
+    sents = [[str(rng.choice(words)) for _ in range(int(n))]
+             for n in rng.integers(1, 12, size=60)]
+    tags = []
+    for size in (1, 7, 256):
+        monkeypatch.setattr(tg, "PREDICT_CHUNK_TOKENS", size)
+        tags.append([p.tags for p in tg.predict(sents, vocab, store, tag_list, strict)])
+    assert tags[0] == tags[1] == tags[2]
+    assert tg.predict([], vocab, store, tag_list, strict) == []
+
+
 def test_bio_tag_list_layout():
     assert tg.bio_tag_list(["PER", "LOC"]) == [
         "O", "B-PER", "I-PER", "B-LOC", "I-LOC"]
