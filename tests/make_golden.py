@@ -1,0 +1,136 @@
+"""Golden digests of the text-only subcommands: stats, eval and correct.
+
+`PYTHONPATH=src python tests/make_golden.py` writes seeded inputs into a
+temporary directory, runs each subcommand there through `cli.run` with
+relative paths, and records in tests/golden.json the sha256 of its stdout
+and of every file it writes. A manifest is hashed without its
+elapsed_seconds line. tests/test_golden.py reruns the same runs and
+compares. These subcommands do no floating-point arithmetic beyond
+conlleval's ratios, so the digests do not depend on the BLAS stack.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from contrastner import cli, synth
+from contrastner.corpus import TaggedSentence, write_conll
+
+GOLDEN = Path(__file__).resolve().parent / "golden.json"
+
+# name -> (argv, files the run writes)
+RUNS = {
+    "stats": (["stats", "--train", "train.conll", "--dev", "conll03.txt",
+               "--test", "test.conll", "--out", "stats.txt"],
+              ["stats.txt", "stats.txt.manifest"]),
+    "eval": (["eval", "--gold", "test.conll", "--pred", "pred.conll",
+              "--out", "eval.txt"],
+             ["eval.txt", "eval.txt.manifest"]),
+    "eval-conll03": (["eval", "--gold", "conll03.txt", "--pred", "conll03.txt"], []),
+    "correct": (["correct", "--pred", "pred.conll", "--out", "same.conll"],
+                ["same.conll", "same.conll.manifest"]),
+    "correct-kg": (["correct", "--pred", "acro.conll", "--kg", "snapshot.tsv",
+                    "--out", "fixed.conll"],
+                   ["fixed.conll", "fixed.conll.manifest"]),
+}
+
+
+def _conll03_text(sentences) -> str:
+    """Four-column rows (token, POS, chunk, IOB1 tag) in documents that each
+    open with a -DOCSTART- line, the layout of the CoNLL-2003 files."""
+    out = []
+    for i, sent in enumerate(sentences):
+        if i % 7 == 0:
+            out.append("-DOCSTART- -X- -X- O\n\n")
+        prev = "O"
+        for token, tag in zip(sent.tokens, sent.tags):
+            # IOB1: an entity opens with I- unless it follows one of its type
+            iob = tag if tag == "O" or prev[2:] == tag[2:] else "I-" + tag[2:]
+            out.append(f"{token} NN I-NP {iob}\n")
+            prev = tag
+        out.append("\n")
+    return "".join(out)
+
+
+def _acronym_corpus():
+    """Fixture sentences with three organisations, each written out once and
+    once as its acronym that the prediction missed; the snapshot lists the
+    written-out names."""
+    train, _ = synth.ner_fixture(seed=4, n_train=120, n_test=0)
+    names = [["Kanor", "Belix", "Tuvam"], ["Orvel", "Anis"],
+             ["Quill", "Ember", "Rothwell", "Systems"]]
+    pred = list(train)
+    for k, name in enumerate(names):
+        acronym = "".join(w[0] for w in name)
+        pred.insert(40 * k + 20, TaggedSentence(
+            [acronym, "approved", "the", "budget", "."], ["O"] * 5))
+        pred.insert(40 * k, TaggedSentence(
+            ["the"] + name + ["announced", "a", "plan", "."],
+            ["O", "B-ORG"] + ["I-ORG"] * (len(name) - 1) + ["O"] * 4))
+    snapshot = [" ".join(name) + "\tOrganisation" for name in names]
+    snapshot += ["Mercer\tPerson", "Avalon\tPlace", "Apex Labs\tOrganisation"]
+    return pred, snapshot
+
+
+def write_inputs(root: Path):
+    train, test = synth.ner_fixture(seed=3, n_train=60, n_test=40)
+    write_conll(train, root / "train.conll")
+    write_conll(test, root / "test.conll")
+    pred = [TaggedSentence(s.tokens, ["O"] * len(s)) if i % 3 == 0 else s
+            for i, s in enumerate(test)]
+    write_conll(pred, root / "pred.conll")
+    (root / "conll03.txt").write_text(_conll03_text(train[:30]), encoding="utf-8")
+    acro, snapshot = _acronym_corpus()
+    write_conll(acro, root / "acro.conll")
+    (root / "snapshot.tsv").write_text("\n".join(snapshot) + "\n", encoding="utf-8")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _file_digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name.endswith(".manifest"):
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.startswith(b"elapsed_seconds="))
+    return _sha(data)
+
+
+def run_digests(root: Path) -> dict:
+    """Write the inputs under root, run every golden run there, and return
+    {run: {"exit": code, "stdout": sha256, file: sha256, ...}}."""
+    write_inputs(root)
+    digests = {}
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        for name, (argv, outputs) in RUNS.items():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.run(argv)
+            entry = {"exit": code, "stdout": _sha(buf.getvalue().encode("utf-8"))}
+            entry.update((out, _file_digest(root / out)) for out in outputs)
+            digests[name] = entry
+    finally:
+        os.chdir(cwd)
+    return digests
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = run_digests(Path(tmp))
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
