@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 CONLL2003_TYPES = ("PER", "LOC", "ORG", "MISC")
@@ -67,56 +68,168 @@ def validate_tags(tags: Sequence[str], types: Optional[Iterable[str]] = None):
             raise ValueError(f"tag {tag!r} outside the configured types {sorted(allowed)}")
 
 
+# Characters per read of parse_conll. Each read is cut at its last empty
+# line, so no sentence spans two blocks and the text held besides the
+# result stays near two reads.
+_READ_CHUNK = 1 << 16
+
+# A block in the form write_conll emits: optional empty lines, then rows of
+# exactly token<space>tag, each followed by one or more newlines. \S is
+# what str.split() does not split on, so each row splits into its two
+# fields. Possessive, so a match keeps no backtracking state.
+_WRITER_FORM = re.compile(r"\n*+(?:\S++ \S++\n++)*+")
+
+# Sentences per joined write of write_conll.
+_WRITE_CHUNK = 256
+
+
+def _blocks(f):
+    """The text of a file in blocks that each end right after an empty line,
+    or at the end of the file, so that every sentence lies in one block."""
+    pending = []
+    while chunk := f.read(_READ_CHUNK):
+        at = chunk.rfind("\n\n")
+        if at >= 0:
+            end = at + 2
+        elif chunk[0] == "\n" and pending and pending[-1].endswith("\n"):
+            end = 1
+        else:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:end])
+        yield "".join(pending)
+        pending = [chunk[end:]]
+    yield "".join(pending)
+
+
+def _parse_lines(lines, path=None, strict: bool = False, types=None) -> list:
+    """Sentences of an iterable of lines, one row per line: the token is the
+    first field and the tag the last. With strict=True each distinct tag is
+    checked at its first line, and DataError names that line."""
+    sentences = []
+    tokens: list = []
+    tags: list = []
+    checked = set()
+    for lineno, line in enumerate(lines, 1):
+        fields = line.split()
+        if not fields or fields[0] == "-DOCSTART-":
+            if tokens:
+                sentences.append(TaggedSentence(tokens, tags))
+                tokens, tags = [], []
+            continue
+        tag = fields[-1]
+        if strict and tag not in checked:
+            try:
+                validate_tags([tag], types)
+            except ValueError as e:
+                raise DataError(str(e), path=path, line=lineno) from None
+            checked.add(tag)
+        tokens.append(fields[0])
+        tags.append(tag)
+    if tokens:
+        sentences.append(TaggedSentence(tokens, tags))
+    return sentences
+
+
+def _parse_blocks(f) -> list:
+    """Sentences of an open corpus file, without tag checks."""
+    sentences = []
+    for block in _blocks(f):
+        if "-DOCSTART-" in block or not _WRITER_FORM.fullmatch(block):
+            sentences += _parse_lines(block.split("\n"))
+            continue
+        for fields in map(str.split, block.split("\n\n")):
+            if fields:
+                sentences.append(TaggedSentence(fields[0::2], fields[1::2]))
+    return sentences
+
+
 def parse_conll(path, strict: bool = False, types: Optional[Iterable[str]] = None):
     """Read a whitespace-column file into TaggedSentences: the token is the
     first field of a row and the tag the last.
 
     Blank lines end a sentence; lines whose first field is -DOCSTART- are
     skipped. With strict=True every tag must match the BIO grammar (over
-    `types` when given), or DataError names the line. Each distinct tag is
-    checked once, at its first line.
+    `types` when given), or DataError names the line of its first
+    occurrence.
+
+    The file is read in blocks of whole sentences. A block in the form
+    write_conll emits (rows of exactly token<space>tag, no -DOCSTART-) is
+    split as one string; any other block, such as four-column CoNLL-2003
+    rows, goes row by row. Under strict the distinct tags are checked once
+    at the end. When that check or decoding fails, the file is read again
+    row by row, which raises the same error at the same line.
     """
-    sentences = []
-    tokens: list = []
-    tags: list = []
-    checked = set()
-
-    def flush():
-        if tokens:
-            sentences.append(TaggedSentence(list(tokens), list(tags)))
-            tokens.clear()
-            tags.clear()
-
+    try:
+        with open(path, encoding="utf-8") as f:
+            sentences = _parse_blocks(f)
+        if strict:
+            validate_tags(set().union(*(s.tags for s in sentences)), types)
+        return sentences
+    except ValueError:
+        # a malformed tag or an undecodable byte: read row by row, which
+        # meets whichever comes first where a plain read does
+        pass
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            fields = line.split()
-            if not fields:
-                flush()
-                continue
-            if fields[0] == "-DOCSTART-":
-                flush()
-                continue
-            token, tag = fields[0], fields[-1]
-            if strict and tag not in checked:
-                try:
-                    validate_tags([tag], types)
-                except ValueError as e:
-                    raise DataError(str(e), path=path, line=lineno) from None
-                checked.add(tag)
-            tokens.append(token)
-            tags.append(tag)
-    flush()
-    return sentences
+        return _parse_lines(f, path, strict, types)
 
 
-def write_conll(sentences: Sequence[TaggedSentence], path):
-    """Write token<space>tag lines with blank lines between sentences."""
+def _check_fields(batch: Sequence[TaggedSentence], first: int, tokens: set,
+                  tags: set):
+    """ValueError naming the first sentence of the batch, numbered from
+    `first`, with a field that would not read back as written: an empty
+    token or tag, one holding whitespace, or a -DOCSTART- token. Only the
+    distinct values are tested; the sentences are searched on failure."""
+    bad_tokens = {t for t in tokens if t.split() != [t] or t == "-DOCSTART-"}
+    bad_tags = {t for t in tags if t.split() != [t]}
+    if not bad_tokens and not bad_tags:
+        return
+    for number, sent in enumerate(batch, first):
+        for kind, values, bad in (("token", sent.tokens, bad_tokens),
+                                  ("tag", sent.tags, bad_tags)):
+            for value in values:
+                if value in bad:
+                    raise ValueError(f"sentence {number}: {kind} {value!r} would "
+                                     f"not read back as written")
+
+
+def _joined_rows(batch: Sequence[TaggedSentence], first: int) -> str:
+    """The rows of a batch of sentences as one string, with a blank line
+    between sentences; `first` numbers the batch's first sentence."""
+    tokens = list(chain.from_iterable(s.tokens for s in batch))
+    tags = list(chain.from_iterable(s.tags for s in batch))
+    _check_fields(batch, first, set(tokens), set(tags))
+    ends = ["\n"] * len(tokens)
+    at = -1
+    for sent in batch:
+        at += len(sent.tokens)
+        ends[at] = "\n\n"
+    ends[-1] = "\n"
+    parts = [" "] * (4 * len(tokens))
+    parts[0::4] = tokens
+    parts[2::4] = tags
+    parts[3::4] = ends
+    return "".join(parts)
+
+
+def write_conll(sentences: Iterable[TaggedSentence], path):
+    """Write token<space>tag lines with blank lines between sentences.
+
+    The rows of every _WRITE_CHUNK sentences are joined into one string and
+    written at once. A token or tag that is empty or holds whitespace, or a
+    -DOCSTART- token, would read back as something else: it raises
+    ValueError naming its sentence (numbered from 1) before any row of its
+    chunk is written.
+    """
+    it = iter(sentences)
     with open(path, "w", encoding="utf-8") as f:
-        for i, sent in enumerate(sentences):
-            if i:
+        first = 1
+        while batch := list(islice(it, _WRITE_CHUNK)):
+            text = _joined_rows(batch, first)
+            if first > 1:
                 f.write("\n")
-            for token, tag in zip(sent.tokens, sent.tags):
-                f.write(f"{token} {tag}\n")
+            f.write(text)
+            first += len(batch)
 
 
 def iob_to_bio(tags: Sequence[str]) -> list:

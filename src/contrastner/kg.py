@@ -14,12 +14,17 @@ import json
 import re
 import urllib.parse
 import urllib.request
-from itertools import groupby
+from itertools import count
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .corpus import DataError, TaggedSentence, bio_to_spans
 
 DEFAULT_L_MAX = 6
+
+# Multiplier of the polynomial hash of a window's initials in _expansions.
+_HASH_BASE = 1_000_003
 
 DEFAULT_TYPE_MAP = {
     "Person": "PER",
@@ -121,25 +126,71 @@ def _tokens_of(sent) -> list:
     return sent.tokens if isinstance(sent, TaggedSentence) else list(sent)
 
 
-def _expansions(words: Sequence[str], token_lists: Sequence[list]) -> dict:
-    """Every word's expand_acronym result from one pass over the corpus.
+def _flat(sentences) -> tuple:
+    """The tokens of a corpus in order with None after each sentence, and
+    its distinct tokens in first-occurrence order. Position i of the first
+    list is character i of each corpus string that the harvest searches, so
+    no match there spans two sentences."""
+    flat = []
+    for sent in sentences:
+        flat += _tokens_of(sent)
+        flat.append(None)
+    distinct = dict.fromkeys(flat)
+    distinct.pop(None, None)
+    return flat, list(distinct)
+
+
+def _initials_hash(initials: str) -> int:
+    """Polynomial hash of a string, as _expansions computes it for windows."""
+    h = 0
+    for c in initials:
+        h = (h * _HASH_BASE + ord(c)) % 2**64
+    return h
+
+
+def _expansions(words: Sequence[str], flat: list, distinct: list) -> dict:
+    """Every word's expand_acronym result from one string of the corpus.
 
     A window of n tokens is keyed on its lower-cased initials and a word on
     the first n characters of its lower-cased form (str.lower can lengthen
     a character: 'İ' becomes two), so a window expands exactly the words
-    whose key it shares. Each key collects distinct phrases in
+    whose key it shares.
+
+    Each token of `flat` (see _flat, which also gives the `distinct`
+    tokens) becomes one character: its lower-cased initial when some key
+    holds that character, else one that no key holds, which also stands for
+    each sentence end. The windows of each length up to the longest key are
+    hashed at once, with uint64 arithmetic that wraps, and a window whose
+    hash is some key's matches when its slice of the string is that key.
+    So the cost is one array pass per length plus one step per hash hit,
+    however many keys there are. Each key collects its distinct phrases in
     first-occurrence order.
     """
-    keys = {w: tuple(w.lower()[:len(w)]) for w in words}
-    phrases = {key: {} for key in keys.values()}
-    lengths = {len(key) for key in phrases}
-    for tokens in token_lists:
-        initials = [t[:1].lower() for t in tokens]
-        for n in lengths:
-            for i in range(len(tokens) - n + 1):
-                found = phrases.get(tuple(initials[i:i + n]))
+    keys = {w: w.lower()[:len(w)] for w in words}
+    phrases: dict = {key: {} for key in keys.values()}
+    used = set("".join(phrases))
+    other = next(c for c in map(chr, count()) if c not in used)
+    code = {None: other}
+    for t in distinct:
+        code[t] = t[:1].lower() if t[:1].lower() in used else other
+    text = "".join(map(code.__getitem__, flat))
+    chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    wanted: dict = {}   # length -> hashes of the keys of that length
+    for key in phrases:
+        wanted.setdefault(len(key), []).append(_initials_hash(key))
+    hashes = np.zeros(len(chars), np.uint64)   # of the empty window at each position
+    for n in range(min(max(wanted, default=0), len(chars)) + 1):
+        if n:
+            # the windows of length n, in place of those of length n - 1
+            hashes = hashes[:len(chars) - n + 1]
+            hashes *= np.uint64(_HASH_BASE)
+            hashes += chars[n - 1:]
+        if n in wanted:
+            hits = np.isin(hashes, np.array(wanted[n], dtype=np.uint64))
+            for at in np.flatnonzero(hits).tolist():
+                found = phrases.get(text[at:at + n])
                 if found is not None:
-                    found.setdefault(" ".join(tokens[i:i + n]))
+                    found.setdefault(" ".join(flat[at:at + n]))
     return {w: list(phrases[key]) for w, key in keys.items()}
 
 
@@ -154,7 +205,7 @@ def expand_acronym(word: str, sentences: Iterable) -> list:
         expand_acronym("TEC", [["asked", "the", "European", "Commission"]])
         == ["the European Commission"]
     """
-    return _expansions([word], [_tokens_of(s) for s in sentences])[word]
+    return _expansions([word], *_flat(sentences))[word]
 
 
 def enumerate_subphrases(phrase) -> list:
@@ -214,18 +265,24 @@ def build_pe(sentences: Sequence, kg, l_max: int = DEFAULT_L_MAX) -> PotentialEn
     expansion resolves inherits the expansion's types under its own
     surface. Independently, every window of <= l_max consecutive
     capitalized tokens is looked up directly. Acronyms are handled in
-    first-occurrence order; all of them are expanded in one corpus pass,
-    so the cost is linear in corpus tokens. The window surfaces of each
+    first-occurrence order.
+
+    Both searches run over strings of one character per corpus token and
+    one per sentence end, each token's character taken from a table of the
+    distinct tokens: all acronyms are expanded in one pass per acronym
+    length over a string of initials (see _expansions), and the capitalized
+    runs are the regex matches of "C+" in a string of capital or not, so
+    the cost is linear in corpus tokens. The window surfaces of each
     distinct capitalized run are joined once, but every occurrence is
-    looked up, so a lookup that failed can succeed on a later one.
+    looked up, in corpus order, so a lookup that failed can succeed on a
+    later one.
     """
     if l_max < 1:
         raise ValueError(f"l_max must be >= 1, got {l_max}")
     pe = PotentialEntitySet()
-    token_lists = [_tokens_of(s) for s in sentences]
-    distinct = dict.fromkeys(w for tokens in token_lists for w in tokens)
+    flat, distinct = _flat(sentences)
     acronyms = [w for w in distinct if is_acronym(w)]
-    expansions = _expansions(acronyms, token_lists)
+    expansions = _expansions(acronyms, flat, distinct)
     for w in acronyms:
         inherited = None
         for exp in expansions[w]:
@@ -240,23 +297,21 @@ def build_pe(sentences: Sequence, kg, l_max: int = DEFAULT_L_MAX) -> PotentialEn
             pe.add(w, own)
         if inherited:
             pe.add(w, inherited)
-    capital = {w: w[:1].isupper() for w in distinct}
+    capital = {w: "C" if w[:1].isupper() else "c" for w in distinct}
+    capital[None] = "c"
     windows: dict = {}   # capitalized run -> its window surfaces, in lookup order
-    for tokens in token_lists:
-        for is_capital, group in groupby(tokens, capital.__getitem__):
-            if not is_capital:
-                continue
-            run = tuple(group)
-            surfaces = windows.get(run)
-            if surfaces is None:
-                surfaces = windows[run] = [
-                    " ".join(run[start:start + length])
-                    for length in range(1, min(l_max, len(run)) + 1)
-                    for start in range(len(run) - length + 1)]
-            for surface in surfaces:
-                types = kg.lookup(surface)
-                if types:
-                    pe.add(surface, types)
+    for m in re.finditer("C+", "".join(map(capital.__getitem__, flat))):
+        run = tuple(flat[slice(*m.span())])
+        surfaces = windows.get(run)
+        if surfaces is None:
+            surfaces = windows[run] = [
+                " ".join(run[start:start + length])
+                for length in range(1, min(l_max, len(run)) + 1)
+                for start in range(len(run) - length + 1)]
+        for surface in surfaces:
+            types = kg.lookup(surface)
+            if types:
+                pe.add(surface, types)
     return pe
 
 

@@ -5,7 +5,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from contrastner import autodiff as ad
-from contrastner.corpus import TaggedSentence, bio_to_spans
+from contrastner.corpus import DataError, TaggedSentence, bio_to_spans, validate_tags
 from contrastner.kg import (
     DEFAULT_L_MAX, PotentialEntitySet, _tokens_of, enumerate_subphrases, is_acronym)
 
@@ -246,6 +246,63 @@ def ref_count_matches(gold, pred):
         for s in gspans & pspans:
             counts.per_type.setdefault(s.type_, [0, 0, 0])[2] += 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# reference corpus I/O: the row-by-row reader and writer that the block
+# parse and the joined write replace, kept verbatim to pin them to the same
+# sentences, errors and bytes.
+
+def ref_parse_conll(path, strict: bool = False, types=None):
+    """Read a whitespace-column file into TaggedSentences: the token is the
+    first field of a row and the tag the last.
+
+    Blank lines end a sentence; lines whose first field is -DOCSTART- are
+    skipped. With strict=True every tag must match the BIO grammar (over
+    `types` when given), or DataError names the line. Each distinct tag is
+    checked once, at its first line.
+    """
+    sentences = []
+    tokens: list = []
+    tags: list = []
+    checked = set()
+
+    def flush():
+        if tokens:
+            sentences.append(TaggedSentence(list(tokens), list(tags)))
+            tokens.clear()
+            tags.clear()
+
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            fields = line.split()
+            if not fields:
+                flush()
+                continue
+            if fields[0] == "-DOCSTART-":
+                flush()
+                continue
+            token, tag = fields[0], fields[-1]
+            if strict and tag not in checked:
+                try:
+                    validate_tags([tag], types)
+                except ValueError as e:
+                    raise DataError(str(e), path=path, line=lineno) from None
+                checked.add(tag)
+            tokens.append(token)
+            tags.append(tag)
+    flush()
+    return sentences
+
+
+def ref_write_conll(sentences: Sequence[TaggedSentence], path):
+    """Write token<space>tag lines with blank lines between sentences."""
+    with open(path, "w", encoding="utf-8") as f:
+        for i, sent in enumerate(sentences):
+            if i:
+                f.write("\n")
+            for token, tag in zip(sent.tokens, sent.tags):
+                f.write(f"{token} {tag}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -597,6 +597,56 @@ def test_correct_manifest_reports_snapshot_and_network_counters(
     assert len(calls) == 3
 
 
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    """A small corpus with an acronym and its written-out name, and a
+    snapshot that lists the name, for the corpus mutation test."""
+    root = tmp_path_factory.mktemp("fuzz")
+    train, _ = synth.ner_fixture(seed=2, n_train=8, n_test=0)
+    train[2:2] = [TaggedSentence(["the", "Kanor", "Belix", "said"], ["O", "B-ORG", "I-ORG", "O"]),
+                  TaggedSentence(["KB", "agreed", "."], ["O", "O", "O"])]
+    path = write_corpus(root, "gold.conll", train)
+    (root / "kg.tsv").write_text("Kanor Belix\tOrganisation\nAvalon\tPlace\n")
+    return root, path.read_bytes()
+
+
+# bytes a mutation inserts: separators, line breaks, an invalid UTF-8 byte,
+# a no-break space, -DOCSTART- and bare tag prefixes
+INSERTS = [b" ", b"\t", b"\n", b"\n\n", b"\r", b"\r\n", b"\xff", b"\xc2\xa0",
+           b"\x1c", b"\x00", b"-DOCSTART-", b"B-", b"I-", b"O", b"X"]
+
+
+def mutate(blob: bytes, data) -> bytes:
+    """1-4 edits: insert one of INSERTS, delete a range, or flip a byte."""
+    out = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        at = data.draw(st.integers(0, len(out)), label="at")
+        kind = data.draw(st.sampled_from(["insert", "delete", "flip"]), label="kind")
+        if kind == "insert":
+            out[at:at] = data.draw(st.sampled_from(INSERTS), label="bytes")
+        elif kind == "delete":
+            del out[at:at + data.draw(st.integers(1, 40), label="length")]
+        elif at < len(out):
+            out[at] ^= data.draw(st.integers(1, 255), label="mask")
+    return bytes(out)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_mutated_corpus_exits_0_or_2_in_stats_eval_and_correct(fuzz_corpus, data):
+    root, blob = fuzz_corpus
+    mutant = root / "mutant.conll"
+    mutant.write_bytes(mutate(blob, data))
+    gold, out = str(root / "gold.conll"), str(root / "out.conll")
+    for argv in (["stats", "--train", str(mutant)],
+                 ["eval", "--gold", gold, "--pred", str(mutant)],
+                 ["eval", "--gold", str(mutant), "--pred", str(mutant)],
+                 ["correct", "--pred", str(mutant), "--out", out],
+                 ["correct", "--pred", str(mutant), "--kg", str(root / "kg.tsv"),
+                  "--out", out]):
+        assert cli.run(argv) in (0, 2), argv
+
+
 def test_correct_endpoint_needs_cache(tmp_path, capsys):
     pred_path = write_corpus(tmp_path, "pred.conll", small_corpus())
     rc = cli.run(["correct", "--pred", str(pred_path),

@@ -1,8 +1,13 @@
 """Corpus I/O, tag-scheme conversion, and span extraction."""
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
+from contrastner import corpus, synth
 from contrastner.corpus import (
     DataError,
     Span,
@@ -240,3 +245,176 @@ def test_write_empty_list(tmp_path):
     write_conll([], path)
     assert path.read_text() == ""
     assert parse_conll(path) == []
+
+
+def written_rows(sentences) -> list:
+    return [(s.tokens, s.tags) for s in sentences]
+
+
+def parse_outcome(parse, path, strict=False, types=None):
+    """The sentences a parser returns, or the type and text of its error."""
+    try:
+        return written_rows(parse(path, strict, types))
+    except (DataError, UnicodeDecodeError) as e:
+        return type(e), str(e), getattr(e, "line", None)
+
+
+@pytest.fixture(scope="module")
+def io_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus_io")
+
+
+# Lines of the parse differential test. Half are rows in the form
+# write_conll emits; the rest have 1-4 columns split by spaces, tabs, a
+# no-break space or \x1c (whitespace to str.split, not a line break to a
+# file), leading or trailing blanks, or are blank, whitespace-only or
+# -DOCSTART- lines. Tags include malformed ones and a type outside TYPES.
+FIELDS = ["a", "Bob", "x-y", "é", "-DOCSTART-", "O", "B-PER", "I-LOC", "B-XYZ",
+          "B-", "PER"]
+field_st = st.sampled_from(FIELDS)
+blank_st = st.sampled_from(["", " ", "\t", "\xa0", " \x1c "])
+writer_row_st = st.builds(lambda tok, tag: f"{tok} {tag}", field_st, field_st)
+
+
+def column_row(fields, seps, pad) -> str:
+    return pad[0] + fields[0] + "".join(map(str.__add__, seps, fields[1:])) + pad[1]
+
+
+column_row_st = st.builds(
+    column_row, st.lists(field_st, min_size=1, max_size=4),
+    st.lists(st.sampled_from([" ", "  ", "\t", "\xa0", "\x1c"]), min_size=3, max_size=3),
+    st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(["", " ", "\xa0"])))
+line_st = st.one_of(writer_row_st, writer_row_st, st.just(""), column_row_st, blank_st,
+                    st.just("-DOCSTART- -X- -X- O"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=st.lists(line_st, max_size=40),
+       ends=st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=40, max_size=40),
+       final_newline=st.booleans(), bad_byte=st.none() | st.integers(0, 10**4),
+       strict=st.booleans(), types=st.sampled_from([None, TYPES]),
+       chunk=st.integers(1, 40))
+def test_parse_matches_row_by_row_reference(io_dir, lines, ends, final_newline,
+                                            bad_byte, strict, types, chunk):
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and not final_newline:
+        text = text[:-len(ends[len(lines) - 1])]
+    data = text.encode("utf-8")
+    if bad_byte is not None:
+        at = bad_byte % (len(data) + 1)
+        data = data[:at] + b"\xff" + data[at:]
+    path = io_dir / "fuzz.conll"
+    path.write_bytes(data)
+    with mock.patch.object(corpus, "_READ_CHUNK", chunk):
+        got = parse_outcome(parse_conll, path, strict, types)
+    assert got == parse_outcome(helpers.ref_parse_conll, path, strict, types)
+
+
+# blank runs at the start, inside and at the end; rows of 1-4 columns, a
+# sentence of two one-column rows among them; a -DOCSTART- row in
+# write_conll's form; CRLF and a final row without newline
+EVERY_CUT = ("\n\na O\nb B-PER\n\n\n\nc I-PER\nd O\n\n-DOCSTART- O\n\ne O\r\n"
+             "f\tNN B-NP B-LOC\n \ng O\n\nh I-LOC\ni\n\nl\nm\n\n\nj O\nk O")
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_parse_matches_reference_at_every_read_size(tmp_path, strict):
+    path = tmp_path / "cuts.conll"
+    path.write_bytes(EVERY_CUT.encode("utf-8"))
+    want = parse_outcome(helpers.ref_parse_conll, path, strict)
+    for chunk in range(1, len(EVERY_CUT) + 2):
+        with mock.patch.object(corpus, "_READ_CHUNK", chunk):
+            assert parse_outcome(parse_conll, path, strict) == want, chunk
+
+
+def conll03_text(sentences) -> str:
+    """Four-column rows in documents that open with -DOCSTART- lines."""
+    out = []
+    for i, sent in enumerate(sentences):
+        if i % 9 == 0:
+            out.append("-DOCSTART- -X- -X- O\n\n")
+        out += [f"{tok} NNP B-NP {tag}\n" for tok, tag in zip(sent.tokens, sent.tags)]
+        out.append("\n")
+    return "".join(out)
+
+
+def test_parse_matches_reference_on_files_of_many_read_chunks(tmp_path):
+    train, _ = synth.ner_fixture(seed=1, n_train=3000, n_test=0)
+    one_sentence = TaggedSentence([s.tokens[0] for s in train] * 6,
+                                  [s.tags[0] for s in train] * 6)
+    write_conll(train, tmp_path / "writer.conll")
+    write_conll([one_sentence], tmp_path / "long.conll")
+    writer = (tmp_path / "writer.conll").read_text(encoding="utf-8")
+    columns = conll03_text(train)
+    files = {"writer": writer, "columns": columns,
+             "long": (tmp_path / "long.conll").read_text(encoding="utf-8"),
+             "mixed": writer + "\n" + columns + "\n\n\n" + writer,
+             "bad_tag_late": writer + "z B-NOPE\n"}
+    for name, text in files.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text, encoding="utf-8")
+        assert len(text) > 3 * corpus._READ_CHUNK
+        for strict, types in ((False, None), (True, None), (True, ("PER", "LOC", "ORG"))):
+            got = parse_outcome(parse_conll, path, strict, types)
+            assert got == parse_outcome(helpers.ref_parse_conll, path, strict, types), name
+    assert parse_conll(tmp_path / "writer.txt") == train
+    with pytest.raises(DataError) as exc:
+        parse_conll(tmp_path / "bad_tag_late.txt", strict=True, types=TYPES)
+    assert exc.value.line == writer.count("\n") + 1
+
+
+# tokens and tags that read back as one field
+value_st = st.text(min_size=1, max_size=4).filter(
+    lambda v: v.split() == [v] and v != "-DOCSTART-")
+
+
+@settings(max_examples=200, deadline=None)
+@given(sentences=st.lists(st.lists(st.tuples(value_st, value_st), min_size=1, max_size=6),
+                          max_size=12),
+       chunk=st.integers(1, 5))
+def test_write_matches_row_by_row_reference(io_dir, sentences, chunk):
+    sents = [TaggedSentence([t for t, _ in s], [g for _, g in s]) for s in sentences]
+    with mock.patch.object(corpus, "_WRITE_CHUNK", chunk):
+        write_conll(sents, io_dir / "joined.conll")
+    helpers.ref_write_conll(sents, io_dir / "rows.conll")
+    assert (io_dir / "joined.conll").read_bytes() == (io_dir / "rows.conll").read_bytes()
+    assert written_rows(parse_conll(io_dir / "joined.conll")) == written_rows(sents)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2 * corpus._WRITE_CHUNK + 3])
+def test_write_is_byte_identical_to_reference(tmp_path, n):
+    train, _ = synth.ner_fixture(seed=6, n_train=max(n, 1), n_test=0)
+    write_conll(train[:n], tmp_path / "joined.conll")
+    helpers.ref_write_conll(train[:n], tmp_path / "rows.conll")
+    assert (tmp_path / "joined.conll").read_bytes() == (tmp_path / "rows.conll").read_bytes()
+
+
+@pytest.mark.parametrize("tokens, tags, kind, value", [
+    (["Le Monde", "said", ""], ["B-ORG", "O", "O"], "token", "Le Monde"),
+    (["said", ""], ["O", "O"], "token", ""),
+    (["a\tb"], ["O"], "token", "a\tb"),
+    (["a\xa0b"], ["O"], "token", "a\xa0b"),
+    (["line\n"], ["O"], "token", "line\n"),
+    (["-DOCSTART-"], ["O"], "token", "-DOCSTART-"),
+    (["x", "y"], ["O", ""], "tag", ""),
+    (["x"], ["B-My Org"], "tag", "B-My Org"),
+    (["x"], ["O\x1c"], "tag", "O\x1c"),
+])
+def test_write_rejects_fields_that_would_not_read_back(tmp_path, tokens, tags, kind, value):
+    sentences = [TaggedSentence(["ok"], ["O"]), TaggedSentence(tokens, tags)]
+    path = tmp_path / "out.conll"
+    with pytest.raises(ValueError) as exc:
+        write_conll(sentences, path)
+    assert str(exc.value) == f"sentence 2: {kind} {value!r} would not read back as written"
+    assert path.read_text() == ""
+
+
+def test_write_names_a_bad_sentence_in_a_later_chunk(tmp_path):
+    train, _ = synth.ner_fixture(seed=7, n_train=3 * corpus._WRITE_CHUNK, n_test=0)
+    at = 2 * corpus._WRITE_CHUNK + 5
+    train[at] = TaggedSentence(["Le Monde"], ["B-ORG"])
+    with pytest.raises(ValueError, match=f"^sentence {at + 1}: token 'Le Monde' "):
+        write_conll(train, tmp_path / "out.conll")
+    # the chunks before the one that holds it are written whole
+    helpers.ref_write_conll(train[:2 * corpus._WRITE_CHUNK], tmp_path / "rows.conll")
+    assert (tmp_path / "out.conll").read_bytes() == (tmp_path / "rows.conll").read_bytes()

@@ -2,6 +2,8 @@
 import json
 import random
 import urllib.parse
+from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -447,6 +449,20 @@ def test_build_pe_and_modify_entities_match_reference_on_fixture_corpus():
 def test_expand_acronym_matches_reference(corpus):
     for word in TOKENS + ["", "IA", "TE", "ẞEA", "İAB", "KAT"]:
         assert kg.expand_acronym(word, corpus) == helpers.ref_expand_acronym(word, corpus)
+
+
+@pytest.mark.parametrize("base", [0, 1, kg._HASH_BASE])
+def test_expansions_match_reference_when_window_hashes_collide(base):
+    # base 0 hashes a window to its last initial and base 1 to the sum of
+    # its initials, so most hash hits are other windows, which must not match
+    rng = random.Random(base)
+    corpus = [[rng.choice(TOKENS) for _ in range(rng.randrange(12))] for _ in range(80)]
+    words = TOKENS + ["", "IA", "TE", "ẞEA", "İAB", "KAT", "AAAA"] + [
+        "".join(p) for n in (2, 3) for p in product("TEKACB", repeat=n)]
+    with mock.patch.object(kg, "_HASH_BASE", base):
+        got = kg._expansions(words, *kg._flat(corpus))
+    assert got == {w: helpers.ref_expand_acronym(w, corpus) for w in words}
+    assert sum(map(len, got.values())) > 50
 
 
 @settings(max_examples=300, deadline=None)
