@@ -1,9 +1,10 @@
 """CoNLL-column corpus I/O, IOB to BIO conversion, span extraction."""
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 CONLL2003_TYPES = ("PER", "LOC", "ORG", "MISC")
@@ -68,38 +69,23 @@ def validate_tags(tags: Sequence[str], types: Optional[Iterable[str]] = None):
             raise ValueError(f"tag {tag!r} outside the configured types {sorted(allowed)}")
 
 
-# Characters per read of parse_conll. Each read is cut at its last empty
+# Characters per read of parse_conll. Each read is cut after its last empty
 # line, so no sentence spans two blocks and the text held besides the
-# result stays near two reads.
+# result stays within two reads.
 _READ_CHUNK = 1 << 16
 
 # A block in the form write_conll emits: optional empty lines, then rows of
 # exactly token<space>tag, each followed by one or more newlines. \S is
 # what str.split() does not split on, so each row splits into its two
-# fields. Possessive, so a match keeps no backtracking state.
+# fields. The quantifiers are possessive (Python 3.11+), so a match keeps
+# no backtracking state: the plain form holds about 1.7 MB of it per block.
 _WRITER_FORM = re.compile(r"\n*+(?:\S++ \S++\n++)*+")
 
-# Sentences per joined write of write_conll.
+
+# Sentences per joined write of write_conll. Interleaving rows takes 48
+# bytes of lists per token, so one write of a 2,000-sentence corpus would
+# add about 1 MB to the peak RSS of correct.
 _WRITE_CHUNK = 256
-
-
-def _blocks(f):
-    """The text of a file in blocks that each end right after an empty line,
-    or at the end of the file, so that every sentence lies in one block."""
-    pending = []
-    while chunk := f.read(_READ_CHUNK):
-        at = chunk.rfind("\n\n")
-        if at >= 0:
-            end = at + 2
-        elif chunk[0] == "\n" and pending and pending[-1].endswith("\n"):
-            end = 1
-        else:
-            pending.append(chunk)
-            continue
-        pending.append(chunk[:end])
-        yield "".join(pending)
-        pending = [chunk[end:]]
-    yield "".join(pending)
 
 
 def _parse_lines(lines, path=None, strict: bool = False, types=None) -> list:
@@ -131,17 +117,33 @@ def _parse_lines(lines, path=None, strict: bool = False, types=None) -> list:
     return sentences
 
 
+def _parse_block(block: str) -> list:
+    """Sentences of a block of whole lines, without tag checks."""
+    if "-DOCSTART-" in block or not _WRITER_FORM.fullmatch(block):
+        return _parse_lines(block.split("\n"))
+    return [TaggedSentence(fields[0::2], fields[1::2])
+            for fields in map(str.split, block.split("\n\n")) if fields]
+
+
 def _parse_blocks(f) -> list:
     """Sentences of an open corpus file, without tag checks."""
     sentences = []
-    for block in _blocks(f):
-        if "-DOCSTART-" in block or not _WRITER_FORM.fullmatch(block):
-            sentences += _parse_lines(block.split("\n"))
-            continue
-        for fields in map(str.split, block.split("\n\n")):
-            if fields:
-                sentences.append(TaggedSentence(fields[0::2], fields[1::2]))
-    return sentences
+    rest = ""
+    while chunk := f.read(_READ_CHUNK):
+        text = rest + chunk
+        at = text.rfind("\n\n")
+        if at >= 0:
+            sentences += _parse_block(text[:at + 2])
+            rest = text[at + 2:]
+        elif len(text) > _READ_CHUNK:
+            # no empty line in two reads (a long sentence, or sentences
+            # ended by whitespace-only lines): go on row by row, from the
+            # start of the text and the rest of the line the last read cut
+            rows = chain(io.StringIO(text + f.readline()), f)
+            return sentences + _parse_lines(rows)
+        else:
+            rest = text
+    return sentences + _parse_block(rest)
 
 
 def parse_conll(path, strict: bool = False, types: Optional[Iterable[str]] = None):
@@ -153,12 +155,14 @@ def parse_conll(path, strict: bool = False, types: Optional[Iterable[str]] = Non
     `types` when given), or DataError names the line of its first
     occurrence.
 
-    The file is read in blocks of whole sentences. A block in the form
-    write_conll emits (rows of exactly token<space>tag, no -DOCSTART-) is
-    split as one string; any other block, such as four-column CoNLL-2003
-    rows, goes row by row. Under strict the distinct tags are checked once
-    at the end. When that check or decoding fails, the file is read again
-    row by row, which raises the same error at the same line.
+    The file is read in blocks of whole sentences, cut after empty lines;
+    past two reads without one, the rest of the file goes row by row. A
+    block in the form write_conll emits (rows of exactly token<space>tag,
+    no -DOCSTART-) is split as one string; any other block, such as
+    four-column CoNLL-2003 rows, goes row by row. Under strict the
+    distinct tags are checked once at the end. When that check or decoding
+    fails, the file is read again row by row, which raises the same error
+    at the same line.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -174,17 +178,18 @@ def parse_conll(path, strict: bool = False, types: Optional[Iterable[str]] = Non
         return _parse_lines(f, path, strict, types)
 
 
-def _check_fields(batch: Sequence[TaggedSentence], first: int, tokens: set,
-                  tags: set):
-    """ValueError naming the first sentence of the batch, numbered from
-    `first`, with a field that would not read back as written: an empty
-    token or tag, one holding whitespace, or a -DOCSTART- token. Only the
-    distinct values are tested; the sentences are searched on failure."""
-    bad_tokens = {t for t in tokens if t.split() != [t] or t == "-DOCSTART-"}
-    bad_tags = {t for t in tags if t.split() != [t]}
+def _check_fields(sentences: Sequence[TaggedSentence]):
+    """ValueError naming the first sentence, numbered from 1, with a field
+    that would not read back as written: an empty token or tag, one holding
+    whitespace, or a -DOCSTART- token. Only the distinct values are tested;
+    the sentences are searched on failure."""
+    bad_tokens = {t for t in set().union(*(s.tokens for s in sentences))
+                  if t.split() != [t] or t == "-DOCSTART-"}
+    bad_tags = {t for t in set().union(*(s.tags for s in sentences))
+                if t.split() != [t]}
     if not bad_tokens and not bad_tags:
         return
-    for number, sent in enumerate(batch, first):
+    for number, sent in enumerate(sentences, 1):
         for kind, values, bad in (("token", sent.tokens, bad_tokens),
                                   ("tag", sent.tags, bad_tags)):
             for value in values:
@@ -193,43 +198,35 @@ def _check_fields(batch: Sequence[TaggedSentence], first: int, tokens: set,
                                      f"not read back as written")
 
 
-def _joined_rows(batch: Sequence[TaggedSentence], first: int) -> str:
-    """The rows of a batch of sentences as one string, with a blank line
-    between sentences; `first` numbers the batch's first sentence."""
+def _rows(batch: Sequence[TaggedSentence]) -> str:
+    """The rows of a batch of sentences as one string, with an empty line
+    between sentences: tokens, tags and line ends interleaved by slice
+    assignment, so no Python step runs per token."""
     tokens = list(chain.from_iterable(s.tokens for s in batch))
-    tags = list(chain.from_iterable(s.tags for s in batch))
-    _check_fields(batch, first, set(tokens), set(tags))
-    ends = ["\n"] * len(tokens)
+    rows = [" ", " ", " ", "\n"] * len(tokens)
+    rows[0::4] = tokens
+    rows[2::4] = chain.from_iterable(s.tags for s in batch)
     at = -1
-    for sent in batch:
+    for sent in batch[:-1]:
         at += len(sent.tokens)
-        ends[at] = "\n\n"
-    ends[-1] = "\n"
-    parts = [" "] * (4 * len(tokens))
-    parts[0::4] = tokens
-    parts[2::4] = tags
-    parts[3::4] = ends
-    return "".join(parts)
+        rows[4 * at + 3] = "\n\n"
+    return "".join(rows)
 
 
-def write_conll(sentences: Iterable[TaggedSentence], path):
+def write_conll(sentences: Sequence[TaggedSentence], path):
     """Write token<space>tag lines with blank lines between sentences.
 
-    The rows of every _WRITE_CHUNK sentences are joined into one string and
-    written at once. A token or tag that is empty or holds whitespace, or a
-    -DOCSTART- token, would read back as something else: it raises
-    ValueError naming its sentence (numbered from 1) before any row of its
-    chunk is written.
+    A token or tag that is empty or holds whitespace, or a -DOCSTART-
+    token, would read back as something else: it raises ValueError naming
+    its sentence (numbered from 1) before the file is opened. The rows of
+    every _WRITE_CHUNK sentences are then joined and written at once.
     """
-    it = iter(sentences)
+    _check_fields(sentences)
     with open(path, "w", encoding="utf-8") as f:
-        first = 1
-        while batch := list(islice(it, _WRITE_CHUNK)):
-            text = _joined_rows(batch, first)
-            if first > 1:
+        for first in range(0, len(sentences), _WRITE_CHUNK):
+            if first:
                 f.write("\n")
-            f.write(text)
-            first += len(batch)
+            f.write(_rows(sentences[first:first + _WRITE_CHUNK]))
 
 
 def iob_to_bio(tags: Sequence[str]) -> list:

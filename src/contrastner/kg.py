@@ -17,14 +17,9 @@ import urllib.request
 from itertools import count
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .corpus import DataError, TaggedSentence, bio_to_spans
 
 DEFAULT_L_MAX = 6
-
-# Multiplier of the polynomial hash of a window's initials in _expansions.
-_HASH_BASE = 1_000_003
 
 DEFAULT_TYPE_MAP = {
     "Person": "PER",
@@ -140,14 +135,6 @@ def _flat(sentences) -> tuple:
     return flat, list(distinct)
 
 
-def _initials_hash(initials: str) -> int:
-    """Polynomial hash of a string, as _expansions computes it for windows."""
-    h = 0
-    for c in initials:
-        h = (h * _HASH_BASE + ord(c)) % 2**64
-    return h
-
-
 def _expansions(words: Sequence[str], flat: list, distinct: list) -> dict:
     """Every word's expand_acronym result from one string of the corpus.
 
@@ -159,12 +146,10 @@ def _expansions(words: Sequence[str], flat: list, distinct: list) -> dict:
     Each token of `flat` (see _flat, which also gives the `distinct`
     tokens) becomes one character: its lower-cased initial when some key
     holds that character, else one that no key holds, which also stands for
-    each sentence end. The windows of each length up to the longest key are
-    hashed at once, with uint64 arithmetic that wraps, and a window whose
-    hash is some key's matches when its slice of the string is that key.
-    So the cost is one array pass per length plus one step per hash hit,
-    however many keys there are. Each key collects its distinct phrases in
-    first-occurrence order.
+    each sentence end. Each key's windows are then its occurrences in that
+    string, found with str.find, overlapping ones included, in corpus
+    order, so each key collects its distinct phrases in first-occurrence
+    order.
     """
     keys = {w: w.lower()[:len(w)] for w in words}
     phrases: dict = {key: {} for key in keys.values()}
@@ -174,23 +159,13 @@ def _expansions(words: Sequence[str], flat: list, distinct: list) -> dict:
     for t in distinct:
         code[t] = t[:1].lower() if t[:1].lower() in used else other
     text = "".join(map(code.__getitem__, flat))
-    chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    wanted: dict = {}   # length -> hashes of the keys of that length
-    for key in phrases:
-        wanted.setdefault(len(key), []).append(_initials_hash(key))
-    hashes = np.zeros(len(chars), np.uint64)   # of the empty window at each position
-    for n in range(min(max(wanted, default=0), len(chars)) + 1):
-        if n:
-            # the windows of length n, in place of those of length n - 1
-            hashes = hashes[:len(chars) - n + 1]
-            hashes *= np.uint64(_HASH_BASE)
-            hashes += chars[n - 1:]
-        if n in wanted:
-            hits = np.isin(hashes, np.array(wanted[n], dtype=np.uint64))
-            for at in np.flatnonzero(hits).tolist():
-                found = phrases.get(text[at:at + n])
-                if found is not None:
-                    found.setdefault(" ".join(flat[at:at + n]))
+    for key, found in phrases.items():
+        n = len(key)
+        at = text.find(key)
+        # the empty key is found at every position, the end of text too
+        while 0 <= at < len(text):
+            found.setdefault(" ".join(flat[at:at + n]))
+            at = text.find(key, at + 1)
     return {w: list(phrases[key]) for w, key in keys.items()}
 
 
@@ -269,10 +244,10 @@ def build_pe(sentences: Sequence, kg, l_max: int = DEFAULT_L_MAX) -> PotentialEn
 
     Both searches run over strings of one character per corpus token and
     one per sentence end, each token's character taken from a table of the
-    distinct tokens: all acronyms are expanded in one pass per acronym
-    length over a string of initials (see _expansions), and the capitalized
+    distinct tokens: each acronym's windows are the str.find hits of its
+    initials in a string of initials (see _expansions), and the capitalized
     runs are the regex matches of "C+" in a string of capital or not, so
-    the cost is linear in corpus tokens. The window surfaces of each
+    the scans over corpus tokens run in C. The window surfaces of each
     distinct capitalized run are joined once, but every occurrence is
     looked up, in corpus order, so a lookup that failed can succeed on a
     later one.

@@ -363,6 +363,37 @@ def test_parse_matches_reference_on_files_of_many_read_chunks(tmp_path):
     assert exc.value.line == writer.count("\n") + 1
 
 
+def test_parse_holds_at_most_two_reads_without_empty_lines(tmp_path):
+    # sentences split by whitespace-only lines, and one sentence longer than
+    # two reads: no block holds more than two reads, and each file parses as
+    # the row-by-row reference parses it
+    train, _ = synth.ner_fixture(seed=3, n_train=600, n_test=0)
+    rows = ["".join(f"{t} {g}\n" for t, g in zip(s.tokens, s.tags)) for s in train]
+    long = TaggedSentence([s.tokens[0] for s in train] * 6, [s.tags[0] for s in train] * 6)
+    files = {"spaces": " \n".join(rows), "tabs": "\t \n".join(rows),
+             "long": "".join(f"{t}\t{g}\n" for t, g in zip(long.tokens, long.tags)),
+             "long_then_spaces": rows[0] * 600 + " \n" + " \n".join(rows),
+             "rows_then_long": "\n".join(rows) + "\n" + rows[0] * 600}
+    parse_block = corpus._parse_block
+    held = []
+
+    def spy(block):
+        held.append(len(block))
+        return parse_block(block)
+
+    read = 1 << 12
+    for name, text in files.items():
+        path = tmp_path / f"{name}.conll"
+        path.write_text(text, encoding="utf-8")
+        assert len(text) > 8 * read
+        held.clear()
+        with mock.patch.object(corpus, "_READ_CHUNK", read), \
+                mock.patch.object(corpus, "_parse_block", spy):
+            got = parse_outcome(parse_conll, path)
+        assert got == parse_outcome(helpers.ref_parse_conll, path), name
+        assert max(held, default=0) <= 2 * read, name
+
+
 # tokens and tags that read back as one field
 value_st = st.text(min_size=1, max_size=4).filter(
     lambda v: v.split() == [v] and v != "-DOCSTART-")
@@ -406,15 +437,19 @@ def test_write_rejects_fields_that_would_not_read_back(tmp_path, tokens, tags, k
     with pytest.raises(ValueError) as exc:
         write_conll(sentences, path)
     assert str(exc.value) == f"sentence 2: {kind} {value!r} would not read back as written"
-    assert path.read_text() == ""
+    assert not path.exists()
 
 
-def test_write_names_a_bad_sentence_in_a_later_chunk(tmp_path):
+def test_write_checks_every_sentence_before_opening_the_file(tmp_path):
+    # the bad sentence lies in the third write chunk
     train, _ = synth.ner_fixture(seed=7, n_train=3 * corpus._WRITE_CHUNK, n_test=0)
     at = 2 * corpus._WRITE_CHUNK + 5
     train[at] = TaggedSentence(["Le Monde"], ["B-ORG"])
+    path = tmp_path / "out.conll"
+    path.write_text("kept\n")
     with pytest.raises(ValueError, match=f"^sentence {at + 1}: token 'Le Monde' "):
-        write_conll(train, tmp_path / "out.conll")
-    # the chunks before the one that holds it are written whole
-    helpers.ref_write_conll(train[:2 * corpus._WRITE_CHUNK], tmp_path / "rows.conll")
-    assert (tmp_path / "out.conll").read_bytes() == (tmp_path / "rows.conll").read_bytes()
+        write_conll(train, path)
+    assert path.read_text() == "kept\n"
+    with pytest.raises(ValueError, match=f"^sentence {at + 1}: "):
+        write_conll(train, tmp_path / "new.conll")
+    assert not (tmp_path / "new.conll").exists()

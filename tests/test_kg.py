@@ -3,7 +3,6 @@ import json
 import random
 import urllib.parse
 from itertools import product
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +105,11 @@ def test_expand_acronym_worked_example():
 
 def test_expand_acronym_case_insensitive_initials():
     assert kg.expand_acronym("AB", [["apple", "banana"]]) == ["apple banana"]
+
+
+def test_expand_acronym_overlapping_windows():
+    corpus = [["a1", "a2", "a3", "b"], ["A4", "a5"]]
+    assert kg.expand_acronym("AA", corpus) == ["a1 a2", "a2 a3", "A4 a5"]
 
 
 def test_expand_acronym_empty_corpus_and_duplicates():
@@ -451,18 +455,18 @@ def test_expand_acronym_matches_reference(corpus):
         assert kg.expand_acronym(word, corpus) == helpers.ref_expand_acronym(word, corpus)
 
 
-@pytest.mark.parametrize("base", [0, 1, kg._HASH_BASE])
-def test_expansions_match_reference_when_window_hashes_collide(base):
-    # base 0 hashes a window to its last initial and base 1 to the sum of
-    # its initials, so most hash hits are other windows, which must not match
-    rng = random.Random(base)
+def test_expansions_of_many_keys_match_reference():
+    # every key of two and three letters over the fixture's initials, so
+    # windows overlap and keys share prefixes, plus an empty key and keys
+    # whose lower-cased form is longer than the word
+    rng = random.Random(0)
     corpus = [[rng.choice(TOKENS) for _ in range(rng.randrange(12))] for _ in range(80)]
     words = TOKENS + ["", "IA", "TE", "ẞEA", "İAB", "KAT", "AAAA"] + [
         "".join(p) for n in (2, 3) for p in product("TEKACB", repeat=n)]
-    with mock.patch.object(kg, "_HASH_BASE", base):
-        got = kg._expansions(words, *kg._flat(corpus))
+    got = kg._expansions(words, *kg._flat(corpus))
     assert got == {w: helpers.ref_expand_acronym(w, corpus) for w in words}
     assert sum(map(len, got.values())) > 50
+    assert kg._expansions(["", "AB"], *kg._flat([])) == {"": [], "AB": []}
 
 
 @settings(max_examples=300, deadline=None)
