@@ -1,12 +1,17 @@
-"""Golden digests of the text-only subcommands: stats, eval and correct.
+"""Golden digests of every subcommand's outputs.
 
 `PYTHONPATH=src python tests/make_golden.py` writes seeded inputs into a
 temporary directory, runs each subcommand there through `cli.run` with
 relative paths, and records in tests/golden.json the sha256 of its stdout
 and of every file it writes. A manifest is hashed without its
 elapsed_seconds line. tests/test_golden.py reruns the same runs and
-compares. These subcommands do no floating-point arithmetic beyond
-conlleval's ratios, so the digests do not depend on the BLAS stack.
+compares.
+
+stats, eval and correct do no floating-point arithmetic beyond
+conlleval's ratios, so their digests do not depend on the numerical stack.
+The trainers and predict do, so golden.json also records the numpy
+version and BLAS library they were made with (as bench/run.py's blas_info
+reports them), and their digests are compared only on that stack.
 """
 from __future__ import annotations
 
@@ -22,7 +27,8 @@ from pathlib import Path
 from contrastner import cli, synth
 from contrastner.corpus import TaggedSentence, write_conll
 
-GOLDEN = Path(__file__).resolve().parent / "golden.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden.json"
 
 # name -> (argv, files the run writes)
 RUNS = {
@@ -38,7 +44,22 @@ RUNS = {
     "correct-kg": (["correct", "--pred", "acro.conll", "--kg", "snapshot.tsv",
                     "--out", "fixed.conll"],
                    ["fixed.conll", "fixed.conll.manifest"]),
+    "train-ner": (["train-ner", "--train", "train.conll", "--dev", "test.conll",
+                   "--epochs", "2", "--out", "ner.ckpt"],
+                  ["ner.ckpt", "ner.ckpt.vocab", "ner.ckpt.tags", "ner.ckpt.manifest"]),
+    "train-ner-strict": (["train-ner", "--train", "train.conll", "--dev", "test.conll",
+                          "--epochs", "2", "--strict", "--out", "strict.ckpt"],
+                         ["strict.ckpt", "strict.ckpt.vocab", "strict.ckpt.tags",
+                          "strict.ckpt.manifest"]),
+    "train-wcl": (["train-wcl", "--pairs", "pairs.tsv", "--queue", "256",
+                   "--epochs", "2", "--out", "wcl.ckpt"],
+                  ["wcl.ckpt", "wcl.ckpt.vocab", "wcl.ckpt.manifest"]),
+    "predict": (["predict", "--model", "ner.ckpt", "--test", "test.conll",
+                 "--out", "tagged.conll"],
+                ["tagged.conll", "tagged.conll.manifest"]),
 }
+# runs whose outputs hold floats computed by numpy and BLAS
+FLOAT_RUNS = {"train-ner", "train-ner-strict", "train-wcl", "predict"}
 
 
 def _conll03_text(sentences) -> str:
@@ -89,6 +110,18 @@ def write_inputs(root: Path):
     acro, snapshot = _acronym_corpus()
     write_conll(acro, root / "acro.conll")
     (root / "snapshot.tsv").write_text("\n".join(snapshot) + "\n", encoding="utf-8")
+    pairs = synth.pairs_fixture(seed=5, n_pairs=24)
+    (root / "pairs.tsv").write_text(
+        "".join(f"{' '.join(p.sentence)}\t{' '.join(p.positive)}\n" for p in pairs),
+        encoding="utf-8")
+
+
+def stack() -> dict:
+    """numpy's version and the BLAS library, as bench/run.py reports them."""
+    import numpy as np
+    sys.path.insert(0, str(ROOT / "bench"))
+    from run import blas_info
+    return {"numpy": np.__version__, **blas_info()}
 
 
 def _sha(data: bytes) -> str:
@@ -126,7 +159,8 @@ def run_digests(root: Path) -> dict:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_digests(Path(tmp))
-    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
+    record = {"stack": stack(), "runs": digests}
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
     print(f"wrote {GOLDEN}")
     return 0

@@ -1,8 +1,10 @@
-"""Byte identity of stats, eval and correct against recorded digests.
+"""Byte identity of every subcommand's outputs against recorded digests.
 
 tests/golden.json holds the sha256 of each run's stdout and output files,
 written by tests/make_golden.py. A change that alters one of these outputs
-on purpose regenerates the file and lists each changed digest.
+on purpose regenerates the file and lists each changed digest. The float
+runs (make_golden.FLOAT_RUNS) are compared only on the numpy and BLAS that
+made the digests; elsewhere they skip and name the difference.
 """
 import json
 
@@ -19,9 +21,15 @@ def digests(tmp_path_factory):
 
 
 def test_golden_file_lists_every_run():
-    assert sorted(GOLDEN) == sorted(make_golden.RUNS)
+    assert sorted(GOLDEN["runs"]) == sorted(make_golden.RUNS)
 
 
 @pytest.mark.parametrize("run", sorted(make_golden.RUNS))
 def test_outputs_match_golden_digests(digests, run):
-    assert digests[run] == GOLDEN[run]
+    if run in make_golden.FLOAT_RUNS:
+        here = make_golden.stack()
+        diff = {k: (GOLDEN["stack"][k], here[k]) for k in ("numpy", "blas")
+                if GOLDEN["stack"][k] != here[k]}
+        if diff:
+            pytest.skip(f"digests were made on another stack (recorded, here): {diff}")
+    assert digests[run] == GOLDEN["runs"][run]
