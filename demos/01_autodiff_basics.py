@@ -11,7 +11,7 @@ from contrastner import autodiff as ad
 
 
 def network_loss(w1, b1, w2, x):
-    h = ad.tanh(ad.add(ad.matmul(w1, x), b1))
+    h = ad.relu(ad.add(ad.matmul(w1, x), b1))
     out = ad.matmul(w2, h)
     return ad.dot(out, out)
 

@@ -3,7 +3,8 @@
 Every op records itself on a single module-level tape. backward() replays
 the tape once in reverse, accumulating into .grad, then clears the tape.
 Tensors are 0-d scalars, 1-d vectors, or 2-d matrices; nothing higher.
-A whole recurrent layer is one op (recurrent), and callers can record
+The ops are the ones the pipeline records, each in the operand shapes it
+uses. A whole recurrent layer is one op (recurrent), and callers record
 their own fused ops with a hand-written backward (fused).
 """
 from __future__ import annotations
@@ -124,90 +125,31 @@ def backward(loss: Tensor):
 # ---------------------------------------------------------------- linear ops
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for matrix/vector operands. The backward forms the gradient
-    product only for an operand that requires grad."""
+    """a @ b for a matrix a and a matrix or vector b. The backward forms the
+    gradient product only for an operand that requires grad."""
     av, bv = a.values, b.values
-    if av.ndim == 2 and bv.ndim == 2:
-        if av.shape[1] != bv.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
+    if av.ndim != 2 or bv.ndim not in (1, 2) or av.shape[1] != bv.shape[0]:
+        raise ValueError(f"matmul needs a matrix @ a matrix or vector, got "
+                         f"{av.shape} @ {bv.shape}")
 
-        def bwd(g):
-            if a.requires_grad:
-                _accum(a, g @ bv.T)
-            if b.requires_grad:
-                _accum(b, av.T @ g)
-    elif av.ndim == 2 and bv.ndim == 1:
-        if av.shape[1] != bv.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-
-        def bwd(g):
-            if a.requires_grad:
-                _accum(a, np.outer(g, bv))
-            if b.requires_grad:
-                _accum(b, av.T @ g)
-    elif av.ndim == 1 and bv.ndim == 2:
-        if av.shape[0] != bv.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-
-        def bwd(g):
-            if a.requires_grad:
-                _accum(a, bv @ g)
-            if b.requires_grad:
-                _accum(b, np.outer(av, g))
-    else:
-        raise ValueError(f"matmul needs matrix/vector operands, got {av.shape} @ {bv.shape}")
+    def bwd(g):
+        if a.requires_grad:
+            _accum(a, g @ bv.T if bv.ndim == 2 else np.outer(g, bv))
+        if b.requires_grad:
+            _accum(b, av.T @ g)
     return _record(Tensor(av @ bv), (a, b), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.values, b.values
-    if av.shape == bv.shape:
-        out = Tensor(av + bv)
-
-        def bwd(g):
-            _accum(a, g)
-            _accum(b, g)
-    elif av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
-        out = Tensor(av + bv)
-
-        def bwd(g):
-            _accum(a, g)
-            _accum(b, g.sum(axis=0))
-    elif av.ndim == 1 and bv.ndim == 2 and bv.shape[1] == av.shape[0]:
-        out = Tensor(av + bv)
-
-        def bwd(g):
-            _accum(a, g.sum(axis=0))
-            _accum(b, g)
-    else:
-        raise ValueError(f"add shape mismatch: {av.shape} + {bv.shape}")
-    return _record(out, (a, b), bwd)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.values * c)
-
-    def bwd(g):
-        _accum(a, g * c)
-    return _record(out, (a,), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; shapes must match exactly."""
+    """Elementwise sum of two tensors of one shape."""
     av, bv = a.values, b.values
     if av.shape != bv.shape:
-        raise ValueError(f"mul shape mismatch: {av.shape} * {bv.shape}")
-    out = Tensor(av * bv)
+        raise ValueError(f"add shape mismatch: {av.shape} + {bv.shape}")
 
     def bwd(g):
-        _accum(a, g * bv)
-        _accum(b, g * av)
-    return _record(out, (a, b), bwd)
+        _accum(a, g)
+        _accum(b, g)
+    return _record(Tensor(av + bv), (a, b), bwd)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
@@ -224,15 +166,6 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 
 # ------------------------------------------------------------ nonlinearities
 
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.values)
-    out = Tensor(y)
-
-    def bwd(g):
-        _accum(x, g * (1.0 - y * y))
-    return _record(out, (x,), bwd)
-
-
 def _sigmoid(v, out):
     """Logistic function of v written into out, which may be v itself; exp
     is taken only of non-positive arguments.
@@ -247,15 +180,6 @@ def _sigmoid(v, out):
     return np.divide(out, e, out=out)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid(x.values, np.empty_like(x.values))
-    out = Tensor(y)
-
-    def bwd(g):
-        _accum(x, g * y * (1.0 - y))
-    return _record(out, (x,), bwd)
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.values > 0
     out = Tensor(np.where(mask, x.values, 0.0))
@@ -263,20 +187,6 @@ def relu(x: Tensor) -> Tensor:
     def bwd(g):
         _accum(x, g * mask)
     return _record(out, (x,), bwd)
-
-
-def logsumexp(v: Tensor) -> Tensor:
-    """log sum exp of a vector, reduced to a scalar. Stable under shift."""
-    x = v.values
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"logsumexp needs a non-empty vector, got shape {x.shape}")
-    m = x.max()
-    out = Tensor(m + np.log(np.sum(np.exp(x - m))))
-    e = np.exp(x - out.values)  # softmax(x)
-
-    def bwd(g):
-        _accum(v, g * e)
-    return _record(out, (v,), bwd)
 
 
 def normalize(v: Tensor) -> Tensor:
@@ -301,75 +211,38 @@ def normalize(v: Tensor) -> Tensor:
 
 # ----------------------------------------------------------- shape plumbing
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Join tensors. Scalars are treated as length-1 vectors for axis 0."""
-    if not parts:
-        raise ValueError("concat of an empty list")
-    ndims = {p.values.ndim for p in parts}
-    if ndims <= {0, 1}:
-        if axis != 0:
-            raise ValueError(f"concat of vectors needs axis 0, got {axis}")
-        arrs = [np.atleast_1d(p.values) for p in parts]
-        out = Tensor(np.concatenate(arrs))
-        sizes = [a.shape[0] for a in arrs]
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join matrices with one row count side by side."""
+    arrs = [p.values for p in parts]
+    if not arrs or any(a.ndim != 2 or a.shape[0] != arrs[0].shape[0] for a in arrs):
+        raise ValueError(f"concat needs matrices with one row count, got "
+                         f"{[a.shape for a in arrs]}")
+    out = Tensor(np.concatenate(arrs, axis=1))
 
-        def bwd(g):
-            off = 0
-            for p, n in zip(parts, sizes):
-                seg = g[off:off + n]
-                _accum(p, seg.reshape(()) if p.values.ndim == 0 else seg)
-                off += n
-    elif ndims == {2}:
-        if axis not in (0, 1):
-            raise ValueError(f"concat axis must be 0 or 1, got {axis}")
-        arrs = [p.values for p in parts]
-        widths = {a.shape[1 - axis] for a in arrs}
-        if len(widths) != 1:
-            raise ValueError(f"concat shape mismatch along axis {axis}: "
-                             f"{[a.shape for a in arrs]}")
-        out = Tensor(np.concatenate(arrs, axis=axis))
-        sizes = [a.shape[axis] for a in arrs]
-
-        def bwd(g):
-            off = 0
-            for p, n in zip(parts, sizes):
-                sl = (slice(off, off + n), slice(None)) if axis == 0 \
-                    else (slice(None), slice(off, off + n))
-                _accum(p, g[sl])
-                off += n
-    else:
-        raise ValueError(f"concat of mixed ranks: {[p.values.shape for p in parts]}")
+    def bwd(g):
+        off = 0
+        for p, a in zip(parts, arrs):
+            _accum(p, g[:, off:off + a.shape[1]])
+            off += a.shape[1]
     return _record(out, tuple(parts), bwd)
 
 
-def index(t: Tensor, key) -> Tensor:
-    """t[key] for an integer, a slice, an integer array, or a tuple of
-    those, one per axis. An integer array gathers rows (or, paired with a
-    second array, elements). Negative and out-of-range indices raise
-    IndexError. The backward scatter-adds, so repeated indices accumulate.
-    """
-    shape = t.values.shape
-    keys = key if isinstance(key, tuple) else (key,)
-    if len(keys) > len(shape):
-        raise IndexError(f"{len(keys)} indices for shape {shape}")
-    for k, n in zip(keys, shape):
-        if isinstance(k, slice):
-            bad = k.step not in (None, 1) or any(
-                v is not None and not 0 <= v <= n for v in (k.start, k.stop))
-        else:
-            k = np.asarray(k)
-            bad = k.dtype.kind not in "iu" or (
-                k.size > 0 and not 0 <= k.min() <= k.max() < n)
-        if bad:
-            raise IndexError(f"index {key!r} out of range for shape {shape}")
-    out = Tensor(t.values[key])
+def index(t: Tensor, ids: np.ndarray) -> Tensor:
+    """The rows of t at ids, a 1-d integer array. Anything else, and
+    negative or out-of-range ids, raise IndexError. The backward
+    scatter-adds, so repeated ids accumulate."""
+    n = t.values.shape[0]
+    if (not isinstance(ids, np.ndarray) or ids.ndim != 1 or ids.dtype.kind not in "iu"
+            or (ids.size > 0 and not 0 <= ids.min() <= ids.max() < n)):
+        raise IndexError(f"index needs a 1-d array of row ids below {n}, got {ids!r}")
+    out = Tensor(t.values[ids])
 
     def bwd(g):
         if t.requires_grad:
             if t.grad is None:
                 t.grad = _empty_grad(t)
                 t.grad.fill(0.0)
-            np.add.at(t.grad, key, g)
+            np.add.at(t.grad, ids, g)
     return _record(out, (t,), bwd)
 
 
@@ -383,15 +256,6 @@ def mean_rows(m: Tensor) -> Tensor:
     def bwd(g):
         _accum(m, np.broadcast_to(g / t, m.values.shape))
     return _record(out, (m,), bwd)
-
-
-def tsum(x: Tensor) -> Tensor:
-    """Sum of all entries, reduced to a scalar."""
-    out = Tensor(x.values.sum())
-
-    def bwd(g):
-        _accum(x, np.broadcast_to(g, x.values.shape))
-    return _record(out, (x,), bwd)
 
 
 # ------------------------------------------------------------ sequence ops

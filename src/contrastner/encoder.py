@@ -90,7 +90,7 @@ def bidirectional(store: ParamStore, x: ad.Tensor, fwd_key: str, bwd_key: str,
     fwd, bwd = (ad.recurrent(x, store[k + ".w_x"], store[k + ".w_h"], store[k + ".b"],
                              cell, reverse=rev, lengths=lengths)
                 for k, rev in ((fwd_key, False), (bwd_key, True)))
-    return ad.concat([fwd, bwd], axis=1)
+    return ad.concat([fwd, bwd])
 
 
 def encode(store: ParamStore, vocab: Vocab, tokens: Sequence[str],

@@ -17,7 +17,7 @@ import urllib.request
 from itertools import count
 from typing import Iterable, Optional, Sequence
 
-from .corpus import DataError, TaggedSentence, bio_to_spans
+from .corpus import DataError, TaggedSentence, bio_to_spans, validate_tags
 
 DEFAULT_L_MAX = 6
 
@@ -56,6 +56,11 @@ class TypeMap:
                 if len(parts) != 2 or not parts[0] or not parts[1]:
                     raise DataError("expected kg-type<TAB>dataset-type",
                                     path=path, line=lineno)
+                try:
+                    validate_tags(["B-" + parts[1]])
+                except ValueError as e:
+                    raise DataError(f"dataset type {parts[1]!r} makes a {e}",
+                                    path=path, line=lineno) from None
                 mapping[parts[0]] = parts[1]
         return cls(mapping)
 

@@ -180,8 +180,10 @@ def path_score(emis: ad.Tensor, trans: ad.Tensor, tag_ids: Sequence[int]) -> ad.
 
 
 def crf_nll(emis: ad.Tensor, trans: ad.Tensor, tag_ids: Sequence[int]) -> ad.Tensor:
-    """Negative log-likelihood of the gold path: logZ - score(path)."""
-    return ad.sub(crf_log_partition(emis, trans), path_score(emis, trans, tag_ids))
+    """Negative log-likelihood of the gold path, logZ - score(path), as one
+    tape entry over the two CRF ops."""
+    lz, ps = crf_log_partition(emis, trans), path_score(emis, trans, tag_ids)
+    return ad.fused(lz.values - ps.values, (lz, ps), lambda g: (g, -g))
 
 
 def viterbi(emis: np.ndarray, trans: np.ndarray) -> TagPath:

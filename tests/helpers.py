@@ -74,6 +74,82 @@ def check_gradients(build, tensors, eps=1e-5, tol=1e-4, max_coords=None, rng=Non
 
 
 # ---------------------------------------------------------------------------
+# oracle ops: the general-shape ops that the reference graph and the
+# finite-difference sweeps build from, each one tape entry through
+# ad.fused. The library keeps only the op shapes its pipeline records.
+
+def matmul(a, b):
+    """a @ b for any vector or matrix operands."""
+    a2, b2 = np.atleast_2d(a.values), b.values.reshape(b.shape[0], -1)
+
+    def grads(g):
+        g2 = np.reshape(g, (a2.shape[0], b2.shape[1]))
+        return (g2 @ b2.T).reshape(a.shape), (a2.T @ g2).reshape(b.shape)
+    return ad.fused(a.values @ b.values, (a, b), grads)
+
+
+def add(a, b):
+    """a + b; either side may broadcast over leading axes."""
+    return ad.fused(a.values + b.values, (a, b), lambda g: [
+        g.sum(axis=tuple(range(g.ndim - t.ndim))) for t in (a, b)])
+
+
+def sub(a, b):
+    return ad.fused(a.values - b.values, (a, b), lambda g: (g, -g))
+
+
+def scale(a, c):
+    return ad.fused(a.values * c, (a,), lambda g: (g * c,))
+
+
+def mul(a, b):
+    if a.shape != b.shape:
+        raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")
+    return ad.fused(a.values * b.values, (a, b), lambda g: (g * b.values, g * a.values))
+
+
+def tanh(x):
+    y = np.tanh(x.values)
+    return ad.fused(y, (x,), lambda g: (g * (1.0 - y * y),))
+
+
+def sigmoid(x):
+    y = ad._sigmoid(x.values, np.empty_like(x.values))
+    return ad.fused(y, (x,), lambda g: (g * y * (1.0 - y),))
+
+
+def logsumexp(v):
+    """log sum exp of a non-empty vector, stable under shift."""
+    if v.ndim != 1 or v.values.size == 0:
+        raise ValueError(f"logsumexp needs a non-empty vector, got shape {v.shape}")
+    m = v.values.max()
+    out = m + np.log(np.sum(np.exp(v.values - m)))
+    softmax = np.exp(v.values - out)
+    return ad.fused(out, (v,), lambda g: (g * softmax,))
+
+
+def tsum(x):
+    return ad.fused(x.values.sum(), (x,), lambda g: (np.broadcast_to(g, x.shape),))
+
+
+def concat(parts, axis=0):
+    """Join tensors along axis; a scalar joins as a length-1 vector."""
+    arrs = [np.atleast_1d(p.values) for p in parts]
+    ends = np.cumsum([a.shape[axis] for a in arrs])[:-1]
+    return ad.fused(np.concatenate(arrs, axis=axis), parts, lambda g: [
+        gp.reshape(p.shape) for p, gp in zip(parts, np.split(g, ends, axis=axis))])
+
+
+def index(t, key):
+    """t[key] for any numpy key; repeated indices accumulate in the backward."""
+    def grads(g):
+        full = np.zeros_like(t.values)
+        np.add.at(full, key, g)
+        return (full,)
+    return ad.fused(t.values[key], (t,), grads)
+
+
+# ---------------------------------------------------------------------------
 # reference graph: the per-timestep ops the fused recurrent and CRF ops
 # replace, kept to pin them (values and gradients) to the unfused graph.
 # A sequence is a list of row tensors here, one per token.
@@ -86,16 +162,16 @@ def ref_direction(store, key, xs, cell):
     c = ad.constant(np.zeros(h_dim))
     states = []
     for x in xs:
-        z = ad.add(ad.add(ad.matmul(w_x, x), ad.matmul(w_h, h)), b)
+        z = add(add(matmul(w_x, x), matmul(w_h, h)), b)
         if cell == "tanh":
-            h = ad.tanh(z)
+            h = tanh(z)
         else:
-            i = ad.sigmoid(ad.index(z, slice(0, h_dim)))
-            f = ad.sigmoid(ad.index(z, slice(h_dim, 2 * h_dim)))
-            g = ad.tanh(ad.index(z, slice(2 * h_dim, 3 * h_dim)))
-            o = ad.sigmoid(ad.index(z, slice(3 * h_dim, 4 * h_dim)))
-            c = ad.add(ad.mul(f, c), ad.mul(i, g))
-            h = ad.mul(o, ad.tanh(c))
+            i = sigmoid(index(z, slice(0, h_dim)))
+            f = sigmoid(index(z, slice(h_dim, 2 * h_dim)))
+            g = tanh(index(z, slice(2 * h_dim, 3 * h_dim)))
+            o = sigmoid(index(z, slice(3 * h_dim, 4 * h_dim)))
+            c = add(mul(f, c), mul(i, g))
+            h = mul(o, tanh(c))
         states.append(h)
     return states
 
@@ -103,12 +179,12 @@ def ref_direction(store, key, xs, cell):
 def ref_bidirectional(store, xs, fwd_key, bwd_key, cell):
     fwd = ref_direction(store, fwd_key, xs, cell)
     bwd = list(reversed(ref_direction(store, bwd_key, list(reversed(xs)), cell)))
-    return [ad.concat([f, b]) for f, b in zip(fwd, bwd)]
+    return [concat([f, b]) for f, b in zip(fwd, bwd)]
 
 
 def ref_encode(store, vocab, tokens, prefix="enc."):
     embed = store[prefix + "embed"]
-    xs = [ad.index(embed, vocab.id_of(t)) for t in tokens]
+    xs = [index(embed, vocab.id_of(t)) for t in tokens]
     return ref_bidirectional(store, xs, prefix + "fwd", prefix + "bwd", "tanh")
 
 
@@ -117,33 +193,33 @@ def ref_bilstm_forward(store, rows):
 
 
 def ref_emissions(store, rows):
-    return [ad.matmul(row, store["emit.w"]) for row in rows]
+    return [matmul(row, store["emit.w"]) for row in rows]
 
 
 def ref_crf_log_partition(emis_rows, trans):
     n_tags = emis_rows[0].values.shape[0]
-    start = ad.index(trans, (n_tags, slice(0, n_tags)))
-    stop = ad.index(trans, (slice(0, n_tags), n_tags + 1))
-    into = [ad.index(trans, (slice(0, n_tags), j)) for j in range(n_tags)]
-    alpha = ad.add(emis_rows[0], start)
+    start = index(trans, (n_tags, slice(0, n_tags)))
+    stop = index(trans, (slice(0, n_tags), n_tags + 1))
+    into = [index(trans, (slice(0, n_tags), j)) for j in range(n_tags)]
+    alpha = add(emis_rows[0], start)
     for row in emis_rows[1:]:
-        alpha = ad.add(row, ad.concat([ad.logsumexp(ad.add(col, alpha)) for col in into]))
-    return ad.logsumexp(ad.add(alpha, stop))
+        alpha = add(row, concat([logsumexp(add(col, alpha)) for col in into]))
+    return logsumexp(add(alpha, stop))
 
 
 def ref_path_score(emis_rows, trans, tag_ids):
     n_tags = emis_rows[0].values.shape[0]
-    score = ad.index(trans, (n_tags, tag_ids[0]))
+    score = index(trans, (n_tags, tag_ids[0]))
     for t, tid in enumerate(tag_ids):
-        score = ad.add(score, ad.index(emis_rows[t], tid))
+        score = add(score, index(emis_rows[t], tid))
         if t + 1 < len(tag_ids):
-            score = ad.add(score, ad.index(trans, (tid, tag_ids[t + 1])))
-    return ad.add(score, ad.index(trans, (tag_ids[-1], n_tags + 1)))
+            score = add(score, index(trans, (tid, tag_ids[t + 1])))
+    return add(score, index(trans, (tag_ids[-1], n_tags + 1)))
 
 
 def ref_crf_nll(emis_rows, trans, tag_ids):
-    return ad.sub(ref_crf_log_partition(emis_rows, trans),
-                  ref_path_score(emis_rows, trans, tag_ids))
+    return sub(ref_crf_log_partition(emis_rows, trans),
+               ref_path_score(emis_rows, trans, tag_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +567,15 @@ def ref_build_msim(pos, queue, anchor):
     q = np.where(norms > 1e-9, q / np.maximum(norms, 1e-30), 0.0)
     a = ad.normalize(anchor)
     negs = ad.matmul(ad.constant(q), a)
-    return ad.concat([pos, negs])
+    return concat([pos, negs])
 
 
 def ref_info_nce(m, tau):
     """Contrastive loss with the positive at index 0."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    s = ad.scale(m, 1.0 / tau)
-    return ad.sub(ad.logsumexp(s), ad.index(s, 0))
+    s = scale(m, 1.0 / tau)
+    return sub(logsumexp(s), index(s, 0))
 
 
 def ref_train_wcl(pairs, vocab, query, key, config):

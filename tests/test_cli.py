@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contrastner import cli, encoder, kg, synth, tagger
@@ -616,18 +616,19 @@ INSERTS = [b" ", b"\t", b"\n", b"\n\n", b"\r", b"\r\n", b"\xff", b"\xc2\xa0",
            b"\x1c", b"\x00", b"-DOCSTART-", b"B-", b"I-", b"O", b"X"]
 
 
-def mutate(blob: bytes, data) -> bytes:
-    """1-4 edits: insert one of INSERTS, delete a range, or flip a byte."""
+@st.composite
+def mutants(draw, blob: bytes) -> bytes:
+    """blob after 1-4 edits: insert one of INSERTS, delete a range, or flip a byte."""
     out = bytearray(blob)
-    for _ in range(data.draw(st.integers(1, 4), label="edits")):
-        at = data.draw(st.integers(0, len(out)), label="at")
-        kind = data.draw(st.sampled_from(["insert", "delete", "flip"]), label="kind")
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(out)))
+        kind = draw(st.sampled_from(["insert", "delete", "flip"]))
         if kind == "insert":
-            out[at:at] = data.draw(st.sampled_from(INSERTS), label="bytes")
+            out[at:at] = draw(st.sampled_from(INSERTS))
         elif kind == "delete":
-            del out[at:at + data.draw(st.integers(1, 40), label="length")]
+            del out[at:at + draw(st.integers(1, 40))]
         elif at < len(out):
-            out[at] ^= data.draw(st.integers(1, 255), label="mask")
+            out[at] ^= draw(st.integers(1, 255))
     return bytes(out)
 
 
@@ -636,7 +637,7 @@ def mutate(blob: bytes, data) -> bytes:
 def test_mutated_corpus_exits_0_or_2_in_stats_eval_and_correct(fuzz_corpus, data):
     root, blob = fuzz_corpus
     mutant = root / "mutant.conll"
-    mutant.write_bytes(mutate(blob, data))
+    mutant.write_bytes(data.draw(mutants(blob), label="mutant"))
     gold, out = str(root / "gold.conll"), str(root / "out.conll")
     for argv in (["stats", "--train", str(mutant)],
                  ["eval", "--gold", gold, "--pred", str(mutant)],
@@ -645,6 +646,54 @@ def test_mutated_corpus_exits_0_or_2_in_stats_eval_and_correct(fuzz_corpus, data
                  ["correct", "--pred", str(mutant), "--kg", str(root / "kg.tsv"),
                   "--out", out]):
         assert cli.run(argv) in (0, 2), argv
+
+
+TYPEMAP = b"Person\tPER\nPlace\tLOC\nOrganisation\tORG\n"
+SNAPSHOT = b"Kanor Belix\tOrganisation\nAvalon\tPlace\nMercer\thttp://x.org/o#Person\n"
+PAIRS = "".join(f"{' '.join(p.sentence)}\t{' '.join(p.positive)}\n"
+                for p in synth.pairs_fixture(seed=1, n_pairs=5)).encode("utf-8")
+
+
+@settings(max_examples=40, deadline=None)
+@given(blob=mutants(TYPEMAP))
+@example(blob=b"Organisation\tMy Org\n")
+def test_mutated_typemap_exits_0_or_2_in_correct(fuzz_corpus, blob):
+    root, _ = fuzz_corpus
+    (root / "types.tsv").write_bytes(blob)
+    assert cli.run(["correct", "--pred", str(root / "gold.conll"), "--kg",
+                    str(root / "kg.tsv"), "--typemap", str(root / "types.tsv"),
+                    "--out", str(root / "out.conll")]) in (0, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(blob=mutants(SNAPSHOT))
+def test_mutated_snapshot_exits_0_or_2_in_correct(fuzz_corpus, blob):
+    root, _ = fuzz_corpus
+    (root / "snap.tsv").write_bytes(blob)
+    assert cli.run(["correct", "--pred", str(root / "gold.conll"), "--kg",
+                    str(root / "snap.tsv"), "--out", str(root / "out.conll")]) in (0, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(blob=mutants(PAIRS))
+def test_mutated_pair_file_exits_0_or_2_in_train_wcl(fuzz_corpus, blob):
+    root, _ = fuzz_corpus
+    (root / "pairs.tsv").write_bytes(blob)
+    assert cli.run(["train-wcl", "--pairs", str(root / "pairs.tsv"), "--queue", "4",
+                    "--epochs", "1", "--emb", "4", "--enc-hidden", "4",
+                    "--out", str(root / "wcl.bin")]) in (0, 2)
+
+
+def test_typemap_type_with_whitespace_is_data_error_before_any_work(tmp_path, capsys):
+    pred = write_corpus(tmp_path, "pred.conll", small_corpus())
+    types, snap, out = tmp_path / "types.tsv", tmp_path / "kg.tsv", tmp_path / "c.conll"
+    types.write_text("Person\tPER\nOrganisation\tMy Org\n")
+    snap.write_text("john smith\tPerson\n")
+    assert cli.run(["correct", "--pred", str(pred), "--kg", str(snap),
+                    "--typemap", str(types), "--out", str(out)]) == 2
+    assert (f"error: data: {types}:2: dataset type 'My Org' makes a malformed tag "
+            f"'B-My Org'") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_correct_endpoint_needs_cache(tmp_path, capsys):

@@ -24,12 +24,16 @@ def test_golden_file_lists_every_run():
     assert sorted(GOLDEN["runs"]) == sorted(make_golden.RUNS)
 
 
+@pytest.fixture(scope="module")
+def stack_diff():
+    """{field: (recorded, here)} for each of numpy and BLAS that differs."""
+    here = make_golden.stack()
+    return {k: (GOLDEN["stack"][k], here[k]) for k in ("numpy", "blas")
+            if GOLDEN["stack"][k] != here[k]}
+
+
 @pytest.mark.parametrize("run", sorted(make_golden.RUNS))
-def test_outputs_match_golden_digests(digests, run):
-    if run in make_golden.FLOAT_RUNS:
-        here = make_golden.stack()
-        diff = {k: (GOLDEN["stack"][k], here[k]) for k in ("numpy", "blas")
-                if GOLDEN["stack"][k] != here[k]}
-        if diff:
-            pytest.skip(f"digests were made on another stack (recorded, here): {diff}")
+def test_outputs_match_golden_digests(digests, stack_diff, run):
+    if run in make_golden.FLOAT_RUNS and stack_diff:
+        pytest.skip(f"digests were made on another stack (recorded, here): {stack_diff}")
     assert digests[run] == GOLDEN["runs"][run]

@@ -88,7 +88,7 @@ def test_bilstm_gradient_matches_finite_differences():
         def build():
             out = tg.bilstm_forward(store, x)
             pooled = tg.emissions(store, out)
-            return ad.tsum(pooled)
+            return helpers.tsum(pooled)
 
         lstm_params = [store[n] for n in store.names() if n.startswith("lstm.")]
         check_gradients(build, lstm_params + [x], rng=rng, max_coords=30)
@@ -245,9 +245,10 @@ def test_fused_ops_match_reference_graph():
             assert np.max(np.abs(a - b), initial=0.0) < 1e-10
 
 
-def test_train_step_tape_is_at_most_two_entries_per_token():
-    # the tape of one train-ner step has a fixed number of entries, whatever
-    # the sentence length; over the synthetic split that is <= 2 per token
+def test_train_step_tape_is_eleven_entries_per_sentence():
+    # one train-ner step records 11 tape entries whatever the sentence
+    # length: the embedding gather, four scans, two concats, the emissions,
+    # logZ, the path score and the nll; a strict mask adds its add
     train, _ = synth.ner_fixture(seed=0, n_train=40, n_test=1)
     vocab = enc.Vocab.from_sentences([s.tokens for s in train])
     tag_list = tg.bio_tag_list(["LOC", "MISC", "ORG", "PER"])
@@ -255,18 +256,16 @@ def test_train_step_tape_is_at_most_two_entries_per_token():
     rng = np.random.default_rng(0)
     enc.init_encoder(store, "enc.", len(vocab), 8, 8, rng)
     tg.init_tagger(store, enc.output_dim(store), 8, len(tag_list), rng)
-    sizes = set()
-    entries = tokens = 0
-    for sent in train:
-        loss = tg.sentence_nll(store, vocab, sent, [tag_list.index(t) for t in sent.tags])
-        sizes.add(ad.tape_size())
-        entries += ad.tape_size()
-        tokens += len(sent)
-        ad.backward(loss)
-        for t in store.tensors():
-            t.grad = None
-    assert len(sizes) == 1
-    assert entries <= 2 * tokens
+    for mask, want in ((None, 11), (tg.transition_mask(tag_list), 12)):
+        sizes = set()
+        for sent in train:
+            loss = tg.sentence_nll(store, vocab, sent,
+                                   [tag_list.index(t) for t in sent.tags], mask)
+            sizes.add(ad.tape_size())
+            ad.backward(loss)
+            for t in store.tensors():
+                t.grad = None
+        assert sizes == {want}
 
 
 def test_viterbi_single_tag():
