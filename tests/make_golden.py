@@ -54,12 +54,36 @@ RUNS = {
     "train-wcl": (["train-wcl", "--pairs", "pairs.tsv", "--queue", "256",
                    "--epochs", "2", "--out", "wcl.ckpt"],
                   ["wcl.ckpt", "wcl.ckpt.vocab", "wcl.ckpt.manifest"]),
+    "train-wcl-queue4096": (["train-wcl", "--pairs", "pairs.tsv", "--epochs", "2",
+                             "--out", "wcl4096.ckpt"],
+                            ["wcl4096.ckpt", "wcl4096.ckpt.vocab",
+                             "wcl4096.ckpt.manifest"]),
+    # the warm starts read wcl.ckpt, so they follow train-wcl
+    "train-ner-warm": (["train-ner", "--train", "train.conll", "--dev", "test.conll",
+                        "--encoder", "wcl.ckpt", "--epochs", "1", "--out", "warm.ckpt"],
+                       ["warm.ckpt", "warm.ckpt.vocab", "warm.ckpt.tags",
+                        "warm.ckpt.manifest"]),
+    "train-ner-warm-frozen": (["train-ner", "--train", "train.conll", "--dev",
+                               "test.conll", "--encoder", "wcl.ckpt",
+                               "--freeze-encoder", "--epochs", "1",
+                               "--out", "warmfrozen.ckpt"],
+                              ["warmfrozen.ckpt", "warmfrozen.ckpt.vocab",
+                               "warmfrozen.ckpt.tags", "warmfrozen.ckpt.manifest"]),
+    "train-ner-frozen": (["train-ner", "--train", "train.conll", "--dev", "test.conll",
+                          "--freeze-encoder", "--epochs", "1", "--out", "frozen.ckpt"],
+                         ["frozen.ckpt", "frozen.ckpt.vocab", "frozen.ckpt.tags",
+                          "frozen.ckpt.manifest"]),
     "predict": (["predict", "--model", "ner.ckpt", "--test", "test.conll",
                  "--out", "tagged.conll"],
                 ["tagged.conll", "tagged.conll.manifest"]),
+    "predict-strict": (["predict", "--model", "ner.ckpt", "--test", "test.conll",
+                        "--strict", "--out", "strict.conll"],
+                       ["strict.conll", "strict.conll.manifest"]),
 }
 # runs whose outputs hold floats computed by numpy and BLAS
-FLOAT_RUNS = {"train-ner", "train-ner-strict", "train-wcl", "predict"}
+FLOAT_RUNS = {"train-ner", "train-ner-strict", "train-wcl", "train-wcl-queue4096",
+              "train-ner-warm", "train-ner-warm-frozen", "train-ner-frozen",
+              "predict", "predict-strict"}
 
 
 def _conll03_text(sentences) -> str:
