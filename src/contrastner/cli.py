@@ -239,8 +239,7 @@ def _cmd_train_wcl(ns) -> int:
 
 
 def _cmd_train_ner(ns) -> int:
-    config = tagger.NerConfig(epochs=ns.epochs, lr=ns.lr, seed=ns.seed,
-                              train_encoder=not ns.freeze_encoder, strict=ns.strict)
+    config = tagger.NerConfig(epochs=ns.epochs, lr=ns.lr, seed=ns.seed, strict=ns.strict)
     config.validate()
     types = _types_list(ns)
     tag_list = tagger.bio_tag_list(types)
@@ -252,10 +251,15 @@ def _cmd_train_ner(ns) -> int:
         store = _load_checkpoint(ns.encoder).subset("enc.")
         vocab = _sidecar_vocab(ns.encoder)
         _check_params(store, _encoder_shapes(store, len(vocab)), ns.encoder)
+        # the manifest echoes the widths the checkpoint brings, not the flags
+        ns.emb, ns.enc_hidden = _width(store, "enc.embed"), _width(store, "enc.fwd.w_h")
     else:
         store = ParamStore()
         vocab = encoder.Vocab.from_sentences(s.tokens for s in train_sents)
         encoder.init_encoder(store, "enc.", len(vocab), ns.emb, ns.enc_hidden, rng)
+    if ns.freeze_encoder:
+        for t in store.subset("enc.").tensors():
+            t.requires_grad = False  # keeps encoder ops off the tape entirely
     tagger.init_tagger(store, encoder.output_dim(store), ns.hidden, len(tag_list), rng)
     started = time.perf_counter()
     log = tagger.train_ner(train_sents, vocab, store, tag_list, config)

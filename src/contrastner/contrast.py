@@ -32,12 +32,14 @@ class WclConfig:
     momentum: float = 0.999         # key <- m*key + (1-m)*query after each step
 
     def validate(self):
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
         if self.queue_size < 1:
             raise ValueError(f"queue size must be >= 1, got {self.queue_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.lr}")
         if not 0.0 <= self.momentum <= 1.0:
             raise ValueError(f"momentum must lie in [0, 1], got {self.momentum}")
 
@@ -49,10 +51,8 @@ class WclLog:
     queue: Optional["NegativeQueue"] = None  # final state, for inspection
 
 
-def init_head(store: ParamStore, d_in: int, n_types: int,
-              rng: Optional[np.random.Generator] = None):
+def init_head(store: ParamStore, d_in: int, n_types: int, rng: np.random.Generator):
     """Two-layer projection, parameters head.*: d_in -> d_in (relu) -> n_types."""
-    rng = rng or np.random.default_rng(0)
     store.add("head.w1", rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_in, d_in)))
     store.add("head.b1", np.zeros(d_in))
     store.add("head.w2", rng.normal(0.0, 1.0 / np.sqrt(d_in), (n_types, d_in)))

@@ -7,7 +7,7 @@ a key copy follows it by momentum, key <- m*key + (1-m)*query.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,12 +62,10 @@ class Vocab:
 
 
 def init_encoder(store: ParamStore, prefix: str, vocab_size: int,
-                 emb_dim: int = 64, hidden: int = 64,
-                 rng: Optional[np.random.Generator] = None):
+                 emb_dim: int, hidden: int, rng: np.random.Generator):
     """Add embedding and per-direction recurrent weights under a prefix."""
     if emb_dim < 1 or hidden < 1:
         raise ValueError(f"emb_dim and hidden must be >= 1, got {emb_dim} and {hidden}")
-    rng = rng or np.random.default_rng(0)
     store.add(prefix + "embed", rng.normal(0.0, 0.5, (vocab_size, emb_dim)))
     for d in ("fwd", "bwd"):
         store.add(prefix + d + ".w_x",
@@ -115,7 +113,7 @@ def pool(output: ad.Tensor) -> ad.Tensor:
 
 def init_key_from_query(store: ParamStore, prefix: str = "enc.") -> ParamStore:
     """Deep value copy of the encoder weights, detached from training."""
-    return store.subset(prefix).copy(requires_grad=False)
+    return store.subset(prefix).copy()
 
 
 def update_key(key: ParamStore, query: ParamStore, momentum: float):

@@ -457,12 +457,11 @@ class RemoteLookup:
     are not cached.
     """
 
-    def __init__(self, endpoint: str, cache_path, typemap: Optional[TypeMap] = None,
-                 fetch=None, timeout: float = 5.0):
+    def __init__(self, endpoint: str, cache_path, typemap: Optional[TypeMap] = None, fetch=None):
         self.endpoint = endpoint
         self.cache = LookupCache(cache_path)
         self.typemap = typemap or TypeMap.default_conll()
-        self._fetch = fetch or (lambda url: _default_fetch(url, timeout))
+        self._fetch = fetch or (lambda url: _default_fetch(url, 5.0))
         self.warnings = 0
         self.network_calls = 0
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Iterable, Iterator, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -57,12 +57,11 @@ class ParamStore:
                 out._params[name] = t
         return out
 
-    def copy(self, requires_grad: bool = True) -> "ParamStore":
-        """Deep value copy; grads are not copied."""
+    def copy(self) -> "ParamStore":
+        """Deep value copy that takes no gradients; grads are not copied."""
         out = ParamStore()
         for name, t in self._params.items():
-            c = Tensor(t.values.copy(), requires_grad=requires_grad)
-            out._params[name] = c
+            out._params[name] = Tensor(t.values.copy(), requires_grad=False)
         return out
 
 
@@ -74,8 +73,8 @@ def sgd_step(store: ParamStore, lr: float):
     the next backward writes into the same arrays.
     """
     lr = float(lr)
-    if lr < 0:
-        raise ValueError(f"learning rate must be >= 0, got {lr}")
+    if not 0 <= lr < math.inf:
+        raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
     for name, t in store.items():
         if t.grad is not None and not np.all(np.isfinite(t.grad)):
             raise ValueError(f"non-finite gradient in parameter {name}")

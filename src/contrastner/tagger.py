@@ -29,12 +29,13 @@ class NerConfig:
     epochs: int = 10
     lr: float = 0.05
     seed: int = 0
-    train_encoder: bool = True
     strict: bool = False
 
     def validate(self):
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.lr}")
 
 
 @dataclass
@@ -59,7 +60,7 @@ def bio_tag_list(types: Sequence[str]) -> list:
 
 
 def init_tagger(store: ParamStore, d_in: int, hidden: int, n_tags: int,
-                rng: Optional[np.random.Generator] = None):
+                rng: np.random.Generator):
     """Add BiLSTM, emission, and transition weights to the store.
 
     Gate weights are packed in row blocks [input, forget, cell, output],
@@ -67,7 +68,6 @@ def init_tagger(store: ParamStore, d_in: int, hidden: int, n_tags: int,
     """
     if hidden < 1:
         raise ValueError(f"hidden size must be >= 1, got {hidden}")
-    rng = rng or np.random.default_rng(0)
     for d in ("f", "b"):
         store.add(f"lstm.{d}.w_x",
                   rng.normal(0.0, 1.0 / np.sqrt(d_in), (4 * hidden, d_in)))
@@ -267,7 +267,8 @@ def sentence_nll(store: ParamStore, vocab: enc.Vocab, sent: TaggedSentence,
 
 def train_ner(sentences: Sequence[TaggedSentence], vocab: enc.Vocab,
               store: ParamStore, tag_list: Sequence[str], config: NerConfig) -> NerLog:
-    """Fit the tagger (and optionally the encoder) by per-sentence SGD.
+    """Fit every parameter that takes gradients by per-sentence SGD; the
+    others, such as a frozen encoder's, are neither taped nor stepped.
 
     Zero epochs leave every parameter untouched. A non-finite loss aborts
     with the epoch and sentence index.
@@ -282,29 +283,22 @@ def train_ner(sentences: Sequence[TaggedSentence], vocab: enc.Vocab,
             gold.append([tag_ids[t] for t in sent.tags])
         except KeyError as e:
             raise ValueError(f"tag {e.args[0]!r} not in the tag inventory") from None
-    frozen = [] if config.train_encoder else list(store.subset("enc.").items())
-    for _, t in frozen:
-        t.requires_grad = False  # keeps encoder ops off the tape entirely
     mask = transition_mask(tag_list) if config.strict else None
     rng = np.random.default_rng(config.seed)
     order = list(range(len(sentences)))
     log = NerLog()
-    try:
-        for epoch in range(config.epochs):
-            rng.shuffle(order)
-            total = 0.0
-            for idx in order:
-                loss = sentence_nll(store, vocab, sentences[idx], gold[idx], mask)
-                if not np.isfinite(loss.values):
-                    raise RuntimeError(f"non-finite loss at epoch {epoch}, sentence {idx}")
-                ad.backward(loss)
-                sgd_step(store, config.lr)
-                log.steps += 1
-                total += loss.item()
-            log.epoch_losses.append(total / len(sentences))
-    finally:
-        for _, t in frozen:
-            t.requires_grad = True
+    for epoch in range(config.epochs):
+        rng.shuffle(order)
+        total = 0.0
+        for idx in order:
+            loss = sentence_nll(store, vocab, sentences[idx], gold[idx], mask)
+            if not np.isfinite(loss.values):
+                raise RuntimeError(f"non-finite loss at epoch {epoch}, sentence {idx}")
+            ad.backward(loss)
+            sgd_step(store, config.lr)
+            log.steps += 1
+            total += loss.item()
+        log.epoch_losses.append(total / len(sentences))
     return log
 
 

@@ -238,6 +238,22 @@ def test_train_wcl_validates_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    pytest.param(command, "--lr", value, "learning rate must be finite and >= 0",
+                 id=f"{command}-lr-{value}")
+    for command in ("train-ner", "train-wcl") for value in ("nan", "inf", "-1")
+] + [pytest.param("train-wcl", "--tau", value, "temperature must be positive and finite",
+                  id=f"train-wcl-tau-{value}") for value in ("nan", "inf")])
+def test_bad_rate_is_config_error_before_input_is_read(tmp_path, capsys, command, flag,
+                                                        value, message):
+    missing = str(tmp_path / "missing")  # reading it would exit 2
+    data = ["--train" if command == "train-ner" else "--pairs", missing]
+    out = tmp_path / "m.bin"
+    assert cli.run([command, *data, "--out", str(out), "--epochs", "0", flag, value]) == 1
+    assert f"error: config: {message}, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def training_input(tmp_path, command) -> list:
     if command == "train-ner":
         return ["--train", str(write_corpus(tmp_path, "train.conll", small_corpus()))]
@@ -495,6 +511,9 @@ def test_train_ner_warm_start_from_wcl(tmp_path, capsys):
     warm = load_params(model)
     wcl = load_params(enc_out)
     assert np.array_equal(warm["enc.embed"].values, wcl["enc.embed"].values)
+    # the manifest gives the checkpoint's widths, not the --emb/--enc-hidden defaults
+    man = manifest_of(model)
+    assert (man["emb"], man["enc_hidden"]) == ("8", "4")
 
 
 def wcl_checkpoint_and_ner_corpus(tmp_path):
@@ -682,6 +701,37 @@ def test_mutated_pair_file_exits_0_or_2_in_train_wcl(fuzz_corpus, blob):
     assert cli.run(["train-wcl", "--pairs", str(root / "pairs.tsv"), "--queue", "4",
                     "--epochs", "1", "--emb", "4", "--enc-hidden", "4",
                     "--out", str(root / "wcl.bin")]) in (0, 2)
+
+
+@pytest.mark.parametrize("sidecar", ["vocab", "tags"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mutated_sidecar_exits_0_or_2_in_predict(flip_target, sidecar, data):
+    root = flip_target.root
+    model = root / "side.bin"
+    model.write_bytes(flip_target.blob)
+    for name in ("vocab", "tags"):
+        blob = (root / f"model.bin.{name}").read_bytes()
+        if name == sidecar:
+            blob = data.draw(mutants(blob), label=name)
+        (root / f"side.bin.{name}").write_bytes(blob)
+    assert cli.run(["predict", "--model", str(model), "--test", str(flip_target.corpus),
+                    "--out", str(root / "pred.conll")]) in (0, 2)
+
+
+LOOKUP_CACHE = b"Kanor Belix\tOrganisation\nKB\t\nAvalon\tPlace,Person\nA\\c\tX\\cY\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(blob=mutants(LOOKUP_CACHE))
+def test_mutated_lookup_cache_exits_0_or_2_in_correct(fuzz_corpus, blob):
+    root, _ = fuzz_corpus
+    (root / "cache.tsv").write_bytes(blob)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kg, "_default_fetch", lambda url, timeout: json.dumps(["Organisation"]))
+        assert cli.run(["correct", "--pred", str(root / "gold.conll"),
+                        "--kg-endpoint", "http://kg.test/{q}", "--kg-cache",
+                        str(root / "cache.tsv"), "--out", str(root / "out.conll")]) in (0, 2)
 
 
 def test_typemap_type_with_whitespace_is_data_error_before_any_work(tmp_path, capsys):

@@ -78,7 +78,7 @@ def test_encode_permutation_symmetry():
         base = enc.encode(store, vocab, tokens).values.copy()
 
     perm_vocab = Vocab(["d", "c", "a", "e", "b"])
-    permuted = store.copy(requires_grad=True)
+    permuted = store.copy()
     table = store["enc.embed"].values
     new_table = permuted["enc.embed"].values
     for tok in ("a", "b", "c", "d", "e"):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contrastner import evaluation as ev
-from contrastner.corpus import Span, TaggedSentence, spans_to_bio, write_conll
+from contrastner.corpus import TaggedSentence, write_conll
 from helpers import ref_count_matches
 
 TYPES = ("PER", "LOC", "ORG", "MISC")

@@ -33,6 +33,16 @@ def test_sgd_negative_lr_rejected():
         sgd_step(store, -0.1)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_sgd_non_finite_lr_rejected(lr):
+    store = ParamStore()
+    p = store.add("p", [1.0])
+    p.grad = np.array([1.0])
+    with pytest.raises(ValueError, match="learning rate must be finite"):
+        sgd_step(store, lr)
+    assert p.values.tolist() == [1.0]
+
+
 def test_sgd_rejects_nonfinite_grad_naming_parameter():
     store = ParamStore()
     a = store.add("fine", [1.0])
@@ -80,7 +90,7 @@ def test_subset_shares_tensors_and_copy_does_not():
     sub = store.subset("enc.")
     assert sub.names() == ["enc.w"]
     assert sub["enc.w"] is store["enc.w"]
-    dup = store.copy(requires_grad=False)
+    dup = store.copy()
     dup["enc.w"].values[0] = 99.0
     assert store["enc.w"].values[0] == 1.0
     assert not dup["enc.w"].requires_grad

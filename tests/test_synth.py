@@ -1,5 +1,4 @@
 """Synthetic fixture generators: determinism, size bounds, error layout."""
-import numpy as np
 import pytest
 
 from contrastner import synth

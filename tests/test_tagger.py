@@ -433,15 +433,17 @@ def test_train_ner_deterministic():
 
 def test_train_ner_frozen_encoder():
     sents, vocab, store, tag_list = setup_ner(seed=4)
+    for t in store.subset("enc.").tensors():
+        t.requires_grad = False  # frozen at set-up, as train-ner --freeze-encoder does
     enc_before = {n: t.values.copy()
                   for n, t in store.subset("enc.").items()}
     crf_before = store["crf.trans"].values.copy()
     log = tg.train_ner(sents, vocab, store, tag_list,
-                       tg.NerConfig(epochs=2, lr=0.05, train_encoder=False))
+                       tg.NerConfig(epochs=2, lr=0.05))
     assert log.steps == 6
     for name, t in store.subset("enc.").items():
         assert t.values.tobytes() == enc_before[name].tobytes()
-        assert t.requires_grad  # restored after training
+        assert not t.requires_grad  # train_ner leaves the mark as it found it
     assert not np.array_equal(store["crf.trans"].values, crf_before)
 
 
@@ -557,4 +559,4 @@ def test_ner_config_validation():
         tg.NerConfig(epochs=-1).validate()
     tg.NerConfig().validate()
     with pytest.raises(ValueError, match="hidden size must be >= 1"):
-        tg.init_tagger(ParamStore(), 4, 0, 3)
+        tg.init_tagger(ParamStore(), 4, 0, 3, np.random.default_rng(0))
