@@ -12,6 +12,10 @@ conlleval's ratios, so their digests do not depend on the numerical stack.
 The trainers and predict do, so golden.json also records the numpy
 version and BLAS library they were made with (as bench/run.py's blas_info
 reports them), and their digests are compared only on that stack.
+
+golden.json also holds the sha256 of the repr of each synth fixture for a
+few seeds. numpy does not promise Generator streams across versions, so
+these are compared only on the recorded numpy.
 """
 from __future__ import annotations
 
@@ -84,6 +88,14 @@ RUNS = {
 FLOAT_RUNS = {"train-ner", "train-ner-strict", "train-wcl", "train-wcl-queue4096",
               "train-ner-warm", "train-ner-warm-frozen", "train-ner-frozen",
               "predict", "predict-strict"}
+
+# synth fixture -> call for one seed; pairs_fixture draws all 483 pairs
+FIXTURES = {
+    "ner_fixture": lambda seed: synth.ner_fixture(seed=seed, n_train=200, n_test=50),
+    "pairs_fixture": lambda seed: synth.pairs_fixture(seed=seed, n_pairs=483),
+    "kg_ablation_fixture": lambda seed: synth.kg_ablation_fixture(n_errors=20, seed=seed),
+}
+FIXTURE_SEEDS = (0, 1, 7)
 
 
 def _conll03_text(sentences) -> str:
@@ -180,10 +192,16 @@ def run_digests(root: Path) -> dict:
     return digests
 
 
+def fixture_digests() -> dict:
+    """{"<fixture>-<seed>": sha256 of the repr of what it returns}."""
+    return {f"{name}-{seed}": _sha(repr(make(seed)).encode("utf-8"))
+            for name, make in FIXTURES.items() for seed in FIXTURE_SEEDS}
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_digests(Path(tmp))
-    record = {"stack": stack(), "runs": digests}
+    record = {"stack": stack(), "runs": digests, "fixtures": fixture_digests()}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
     print(f"wrote {GOLDEN}")

@@ -475,6 +475,47 @@ def test_predict_checkpoint_with_a_flipped_field_is_data_error(flip_target, data
     assert predict_flipped(flip_target, offsets, data) == 2
 
 
+def predict_edited(target: FlipTarget, blob: bytes) -> int:
+    """predict on blob as checkpoint, beside the trained model's sidecars."""
+    for name in ("edit.bin.vocab", "edit.bin.tags"):
+        (target.root / name).write_bytes(
+            (target.root / name.replace("edit", "model")).read_bytes())
+    (target.root / "edit.bin").write_bytes(blob)
+    return cli.run(["predict", "--model", str(target.root / "edit.bin"), "--test",
+                    str(target.corpus), "--out", str(target.root / "pred.conll")])
+
+
+def test_predict_checkpoint_with_a_repeated_name_is_data_error(flip_target, capsys):
+    extra = ParamStore()
+    extra.add("crf.trans", load_params(flip_target.root / "model.bin")["crf.trans"].values)
+    save_params(extra, flip_target.root / "extra.bin")
+    record = (flip_target.root / "extra.bin").read_bytes()[8:]  # past magic, version
+    assert predict_edited(flip_target, flip_target.blob + record) == 2
+    assert "error: data: duplicate parameter name: crf.trans" in capsys.readouterr().err
+
+
+TAGGER_PARAMS = ["enc.embed"] + [f"enc.{d}.{w}" for d in ("fwd", "bwd")
+                                 for w in ("w_x", "w_h", "b")] + [
+    f"lstm.{d}.{w}" for d in ("f", "b") for w in ("w_x", "w_h", "b")] + [
+    "emit.w", "crf.trans"]
+
+
+def test_tagger_params_table_lists_the_checkpoint(flip_target):
+    assert load_params(flip_target.root / "model.bin").names() == TAGGER_PARAMS
+
+
+@pytest.mark.parametrize("dropped", TAGGER_PARAMS)
+def test_predict_checkpoint_without_a_parameter_is_data_error(flip_target, capsys,
+                                                              dropped):
+    kept = ParamStore()
+    for name, t in load_params(flip_target.root / "model.bin").items():
+        if name != dropped:
+            kept.add(name, t.values)
+    save_params(kept, flip_target.root / "kept.bin")
+    assert predict_edited(flip_target, (flip_target.root / "kept.bin").read_bytes()) == 2
+    assert f"checkpoint lacks {dropped}" in capsys.readouterr().err
+
+
 def test_non_utf8_corpus_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.conll"
     bad.write_bytes(b"caf\xff B-LOC\n")

@@ -4,7 +4,9 @@ tests/golden.json holds the sha256 of each run's stdout and output files,
 written by tests/make_golden.py. A change that alters one of these outputs
 on purpose regenerates the file and lists each changed digest. The float
 runs (make_golden.FLOAT_RUNS) are compared only on the numpy and BLAS that
-made the digests; elsewhere they skip and name the difference.
+made the digests; elsewhere they skip and name the difference. The synth
+fixture digests depend on numpy's Generator streams alone, so they are
+compared only on the recorded numpy.
 """
 import json
 
@@ -37,3 +39,10 @@ def test_outputs_match_golden_digests(digests, stack_diff, run):
     if run in make_golden.FLOAT_RUNS and stack_diff:
         pytest.skip(f"digests were made on another stack (recorded, here): {stack_diff}")
     assert digests[run] == GOLDEN["runs"][run]
+
+
+def test_synth_fixtures_match_golden_digests(stack_diff):
+    if "numpy" in stack_diff:
+        pytest.skip(f"digests were made on another numpy (recorded, here): "
+                    f"{stack_diff['numpy']}")
+    assert make_golden.fixture_digests() == GOLDEN["fixtures"]
