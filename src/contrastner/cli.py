@@ -38,6 +38,19 @@ def _boolean(raw: str) -> bool:
 _SWITCH = dict(type=_boolean, nargs="?", const=True, default=False, metavar="BOOL")
 
 
+def _at_least(low: int):
+    """argparse type of an integer flag >= low, checked before any input is read."""
+    def parse(raw: str) -> int:
+        if (value := int(raw)) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # a non-integer still reads "invalid int value"
+    return parse
+
+
+_SIZE, _SEED = _at_least(1), _at_least(0)
+
+
 def _add_common(p: argparse.ArgumentParser, out_required: bool = False):
     p.add_argument("--config", help="key=value file of flag defaults")
     p.add_argument("--out", required=out_required, help="output path")
@@ -66,9 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="key <- m*key + (1-m)*query; 1 keeps the key, 0 copies the query")
     p.add_argument("--types", default=",".join(CONLL2003_TYPES),
                    help="comma-separated entity types (head width)")
-    p.add_argument("--emb", type=int, default=64)
-    p.add_argument("--enc-hidden", type=int, default=64)
-    p.add_argument("--seed", type=int, default=wcl.seed)
+    p.add_argument("--emb", type=_SIZE, default=64)
+    p.add_argument("--enc-hidden", type=_SIZE, default=64)
+    p.add_argument("--seed", type=_SEED, default=wcl.seed)
     _add_common(p, out_required=True)
 
     p = sub.add_parser("train-ner", help="train the BiLSTM-CRF tagger")
@@ -77,14 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoder", help="warm-start from a train-wcl checkpoint")
     p.add_argument("--epochs", type=int, default=tagger.NerConfig.epochs)
     p.add_argument("--lr", type=float, default=tagger.NerConfig.lr)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--emb", type=int, default=64)
-    p.add_argument("--enc-hidden", type=int, default=64)
+    p.add_argument("--hidden", type=_SIZE, default=64)
+    p.add_argument("--emb", type=_SIZE, default=64)
+    p.add_argument("--enc-hidden", type=_SIZE, default=64)
     p.add_argument("--types", default=",".join(CONLL2003_TYPES))
     p.add_argument("--strict", **_SWITCH,
                    help="forbid illegal BIO transitions in the CRF")
     p.add_argument("--freeze-encoder", **_SWITCH)
-    p.add_argument("--seed", type=int, default=tagger.NerConfig.seed)
+    p.add_argument("--seed", type=_SEED, default=tagger.NerConfig.seed)
     _add_common(p, out_required=True)
 
     p = sub.add_parser("predict", help="tag a corpus with a trained model")
@@ -99,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kg-endpoint", help="remote lookup URL ({q} substituted)")
     p.add_argument("--kg-cache", help="on-disk cache for remote lookups")
     p.add_argument("--typemap", help="TSV of kg-type<TAB>dataset-type")
-    p.add_argument("--l-max", type=int, default=kg.DEFAULT_L_MAX)
+    p.add_argument("--l-max", type=_SIZE, default=kg.DEFAULT_L_MAX)
     _add_common(p, out_required=True)
 
     p = sub.add_parser("eval", help="exact-match span evaluation")
@@ -168,16 +181,11 @@ def _types_list(ns) -> list:
         raise ConfigError("--types must name at least one entity type")
     if repeated := sorted({t for t in types if types.count(t) > 1}):
         raise ConfigError(f"--types repeats {', '.join(repeated)}")
-    return types
-
-
-def _load_checkpoint(path) -> ParamStore:
     try:
-        return load_params(path)
+        corpus.validate_tags(["B-" + t for t in types])
     except ValueError as e:
-        raise DataError(str(e)) from None
-    except FileNotFoundError:
-        raise DataError("checkpoint not found", path=path) from None
+        raise ConfigError(f"--types: {e}") from None
+    return types
 
 
 def _sidecar_vocab(model_path) -> encoder.Vocab:
@@ -201,13 +209,25 @@ def _cmd_stats(ns) -> int:
                  f"entities={stats['entities']}"]
         parts += [f"{t}={n}" for t, n in stats["per_type"].items()]
         lines.append(" ".join(parts))
-    text = "\n".join(lines) + "\n"
+    return _report(ns, "\n".join(lines) + "\n")
+
+
+def _report(ns, text: str) -> int:
+    """Print a report, and write it with a manifest to --out if given."""
     sys.stdout.write(text)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as f:
             f.write(text)
         _write_manifest(ns.out, ns)
     return 0
+
+
+def _save_model(ns, store: ParamStore, vocab: encoder.Vocab, log):
+    """Write the checkpoint and its .vocab sidecar, then print the epoch losses."""
+    save_params(store, ns.out)
+    vocab.save(str(ns.out) + ".vocab")
+    for epoch, loss in enumerate(log.epoch_losses, 1):
+        print(f"epoch {epoch} mean_loss={loss:.6f}")
 
 
 def _cmd_train_wcl(ns) -> int:
@@ -229,10 +249,7 @@ def _cmd_train_wcl(ns) -> int:
     started = time.perf_counter()
     log = contrast.train_wcl(pairs, vocab, store, key, config)
     elapsed = time.perf_counter() - started
-    save_params(store, ns.out)
-    vocab.save(str(ns.out) + ".vocab")
-    for epoch, loss in enumerate(log.epoch_losses, 1):
-        print(f"epoch {epoch} mean_loss={loss:.6f}")
+    _save_model(ns, store, vocab, log)
     _write_manifest(ns.out, ns, {"pairs_count": len(pairs), "steps": log.steps},
                     elapsed)
     return 0
@@ -248,7 +265,7 @@ def _cmd_train_ner(ns) -> int:
         raise DataError("no sentences", path=ns.train)
     rng = np.random.default_rng(ns.seed)
     if ns.encoder:
-        store = _load_checkpoint(ns.encoder).subset("enc.")
+        store = load_params(ns.encoder).subset("enc.")
         vocab = _sidecar_vocab(ns.encoder)
         _check_params(store, _encoder_shapes(store, len(vocab)), ns.encoder)
         # the manifest echoes the widths the checkpoint brings, not the flags
@@ -264,12 +281,9 @@ def _cmd_train_ner(ns) -> int:
     started = time.perf_counter()
     log = tagger.train_ner(train_sents, vocab, store, tag_list, config)
     elapsed = time.perf_counter() - started
-    save_params(store, ns.out)
-    vocab.save(str(ns.out) + ".vocab")
+    _save_model(ns, store, vocab, log)
     with open(str(ns.out) + ".tags", "w", encoding="utf-8") as f:
         f.write("\n".join(tag_list) + "\n")
-    for epoch, loss in enumerate(log.epoch_losses, 1):
-        print(f"epoch {epoch} mean_loss={loss:.6f}")
     extra = {"train_sentences": len(train_sents), "steps": log.steps}
     if ns.dev:
         dev_sents = corpus.parse_conll(ns.dev, strict=True, types=types)
@@ -309,12 +323,8 @@ def _width(store: ParamStore, name: str) -> int:
 def _encoder_shapes(store: ParamStore, n_vocab: int) -> dict:
     """The shape of every encoder parameter, from the vocab and the widths
     of enc.embed and enc.fwd.w_h."""
-    emb, hidden = _width(store, "enc.embed"), _width(store, "enc.fwd.w_h")
-    want = {"enc.embed": (n_vocab, emb)}
-    for key in ("enc.fwd", "enc.bwd"):
-        want.update({key + ".w_x": (hidden, emb), key + ".w_h": (hidden, hidden),
-                     key + ".b": (hidden,)})
-    return want
+    return encoder.param_shapes(n_vocab, _width(store, "enc.embed"),
+                                _width(store, "enc.fwd.w_h"))
 
 
 def _check_params(store: ParamStore, want: dict, model_path):
@@ -340,16 +350,12 @@ def _check_tagger(store: ParamStore, n_vocab: int, n_tags: int, model_path):
         raise DataError(f"tags sidecar lists {n_tags} tags, checkpoint has "
                         f"{trans.shape[0] - 2}", path=str(model_path) + ".tags")
     enc_h, lstm_h = _width(store, "enc.fwd.w_h"), _width(store, "lstm.f.w_h")
-    want = _encoder_shapes(store, n_vocab)
-    want.update({"emit.w": (2 * lstm_h, n_tags), "crf.trans": (n_tags + 2, n_tags + 2)})
-    for key in ("lstm.f", "lstm.b"):
-        want.update({key + ".w_x": (4 * lstm_h, 2 * enc_h),
-                     key + ".w_h": (4 * lstm_h, lstm_h), key + ".b": (4 * lstm_h,)})
-    _check_params(store, want, model_path)
+    _check_params(store, _encoder_shapes(store, n_vocab)
+                  | tagger.param_shapes(2 * enc_h, lstm_h, n_tags), model_path)
 
 
 def _cmd_predict(ns) -> int:
-    store = _load_checkpoint(ns.model)
+    store = load_params(ns.model)
     vocab = _sidecar_vocab(ns.model)
     tag_list = _load_tag_list(ns.model)
     _check_tagger(store, len(vocab), len(tag_list), ns.model)
@@ -364,8 +370,6 @@ def _cmd_predict(ns) -> int:
 
 def _cmd_correct(ns) -> int:
     pred = corpus.parse_conll(ns.pred, strict=True)
-    if ns.l_max < 1:
-        raise ConfigError(f"--l-max must be >= 1, got {ns.l_max}")
     sources = []
     typemap = kg.TypeMap.load(ns.typemap) if ns.typemap else kg.TypeMap.default_conll()
     snapshot = remote = None
@@ -378,18 +382,14 @@ def _cmd_correct(ns) -> int:
         remote = kg.RemoteLookup(ns.kg_endpoint, ns.kg_cache, typemap)
         sources.append(remote)
     started = time.perf_counter()
-    if sources:
-        source = sources[0] if len(sources) == 1 else kg.ChainedLookup(sources)
-        pe = kg.build_pe(pred, source, ns.l_max)
-        corrected = kg.modify_entities(pred, pe)
-    else:
-        pe = None
-        corrected = pred
+    source = sources[0] if len(sources) == 1 else kg.ChainedLookup(sources)
+    # with no KG the rewrite runs over an empty set and changes no tag
+    pe = kg.build_pe(pred, source, ns.l_max) if sources else kg.PotentialEntitySet()
+    corrected = kg.modify_entities(pred, pe)
     elapsed = time.perf_counter() - started
     changed = sum(1 for p, c in zip(pred, corrected) if p.tags != c.tags)
     corpus.write_conll(corrected, ns.out)
-    extra = {"changed_sentences": changed,
-             "potential_entities": 0 if pe is None else len(pe)}
+    extra = {"changed_sentences": changed, "potential_entities": len(pe)}
     if snapshot is not None:
         extra["snapshot_dropped"] = snapshot.dropped
         extra["snapshot_skipped_lines"] = snapshot.skipped_lines
@@ -402,13 +402,7 @@ def _cmd_correct(ns) -> int:
 
 
 def _cmd_eval(ns) -> int:
-    text = evaluation.report_files(ns.gold, ns.pred)
-    sys.stdout.write(text)
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as f:
-            f.write(text)
-        _write_manifest(ns.out, ns)
-    return 0
+    return _report(ns, evaluation.report_files(ns.gold, ns.pred))
 
 
 _COMMANDS = {
@@ -442,8 +436,8 @@ def run(argv=None) -> int:
     except (DataError, OSError, UnicodeDecodeError) as e:
         print(f"error: data: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as e:
-        print(f"error: config: {e}", file=sys.stderr)
+    except (ValueError, RuntimeError, MemoryError) as e:
+        print(f"error: config: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 
 

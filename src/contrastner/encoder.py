@@ -61,18 +61,24 @@ class Vocab:
             return cls([line.rstrip("\n") for line in f if line.rstrip("\n")])
 
 
+def param_shapes(vocab_size: int, emb_dim: int, hidden: int, prefix: str = "enc.") -> dict:
+    """The shape of every encoder parameter, in store order."""
+    shapes = {prefix + "embed": (vocab_size, emb_dim)}
+    for d in ("fwd.", "bwd."):
+        shapes |= {prefix + d + "w_x": (hidden, emb_dim),
+                   prefix + d + "w_h": (hidden, hidden), prefix + d + "b": (hidden,)}
+    return shapes
+
+
 def init_encoder(store: ParamStore, prefix: str, vocab_size: int,
                  emb_dim: int, hidden: int, rng: np.random.Generator):
-    """Add embedding and per-direction recurrent weights under a prefix."""
+    """Add N(0, 0.5) embeddings, N(0, 1/sqrt(columns)) recurrent matrices
+    and zero biases under a prefix."""
     if emb_dim < 1 or hidden < 1:
         raise ValueError(f"emb_dim and hidden must be >= 1, got {emb_dim} and {hidden}")
-    store.add(prefix + "embed", rng.normal(0.0, 0.5, (vocab_size, emb_dim)))
-    for d in ("fwd", "bwd"):
-        store.add(prefix + d + ".w_x",
-                  rng.normal(0.0, 1.0 / np.sqrt(emb_dim), (hidden, emb_dim)))
-        store.add(prefix + d + ".w_h",
-                  rng.normal(0.0, 1.0 / np.sqrt(hidden), (hidden, hidden)))
-        store.add(prefix + d + ".b", np.zeros(hidden))
+    for name, shape in param_shapes(vocab_size, emb_dim, hidden, prefix).items():
+        scale = 0.5 if name == prefix + "embed" else 1.0 / np.sqrt(shape[-1])
+        store.add(name, rng.normal(0.0, scale, shape) if len(shape) == 2 else np.zeros(shape))
 
 
 def output_dim(store: ParamStore, prefix: str = "enc.") -> int:

@@ -13,6 +13,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from .autodiff import Tensor
+from .corpus import DataError
 
 MAGIC = b"WCLB"
 VERSION = 1
@@ -100,18 +101,21 @@ def save_params(store: ParamStore, path):
 
 
 def load_params(path) -> ParamStore:
-    """Read a checkpoint. Any malformed content raises ValueError."""
-    with open(path, "rb") as f:
-        data = f.read()
+    """Read a checkpoint. A missing file or any malformed record raises DataError."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except FileNotFoundError:
+        raise DataError("checkpoint not found", path=path) from None
     if data[:4] != MAGIC:
-        raise ValueError(f"bad checkpoint magic {data[:4]!r} in {path}")
+        raise DataError(f"bad checkpoint magic {data[:4]!r} in {path}")
     pos = 4
 
     def take(n: int, what: str) -> bytes:
         nonlocal pos
         if n > len(data) - pos:
-            raise ValueError(f"truncated checkpoint {path}: {what} needs {n} bytes "
-                             f"at offset {pos}, {len(data) - pos} left")
+            raise DataError(f"truncated checkpoint {path}: {what} needs {n} bytes "
+                            f"at offset {pos}, {len(data) - pos} left")
         pos += n
         return data[pos - n:pos]
 
@@ -119,17 +123,19 @@ def load_params(path) -> ParamStore:
         return struct.unpack("<I", take(4, what))[0]
 
     if (version := u32("version")) != VERSION:
-        raise ValueError(f"unsupported checkpoint version {version} in {path}")
+        raise DataError(f"unsupported checkpoint version {version} in {path}")
     store = ParamStore()
     while pos < len(data):
         raw = take(u32("name length"), "name")
         try:
             name = raw.decode("utf-8")
         except UnicodeDecodeError:
-            raise ValueError(f"parameter name {raw!r} is not utf-8 in {path}") from None
+            raise DataError(f"parameter name {raw!r} is not utf-8 in {path}") from None
         if (ndim := u32(f"rank of {name}")) > 2:
-            raise ValueError(f"parameter {name} has rank {ndim}, at most 2 allowed, in {path}")
+            raise DataError(f"parameter {name} has rank {ndim}, at most 2 allowed, in {path}")
         shape = tuple(u32(f"shape of {name}") for _ in range(ndim))
         buf = take(8 * math.prod(shape), f"values of {name}")
+        if name in store:
+            raise DataError(f"duplicate parameter name: {name} in {path}")
         store.add(name, np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
     return store

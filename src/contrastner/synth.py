@@ -8,6 +8,8 @@ shared between two entity roles).
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .corpus import SentencePair, TaggedSentence
@@ -22,6 +24,10 @@ ORG_STEM = ["Apex", "Borealis", "Cindersoft", "Dynatech", "Evergreen", "Fluxcorp
 ORG_SUFFIX = ["Labs", "Group", "Industries", "Holdings"]
 MISC_STEM = ["Zephyr", "Solstice", "Meridian", "Harvest"]
 MISC_SUFFIX = ["Accord", "Treaty", "Festival", "Cup"]
+# entity kind -> (first tokens, second tokens, chance of a second token);
+# MISC always takes one and draws no chance
+ENTITY_PARTS = {"PER": (PER_FIRST, PER_LAST, 0.5), "LOC": (LOC_NAMES, LOC_SUFFIX, 0.3),
+                "ORG": (ORG_STEM, ORG_SUFFIX, 0.7), "MISC": (MISC_STEM, MISC_SUFFIX, None)}
 
 # slot grammar: plain strings are literal tokens
 NER_TEMPLATES = [
@@ -39,23 +45,12 @@ NER_TEMPLATES = [
 
 
 def _draw_entity(kind: str, rng: np.random.Generator):
-    if kind == "PER":
-        toks = [PER_FIRST[rng.integers(len(PER_FIRST))]]
-        if rng.random() < 0.5:
-            toks.append(PER_LAST[rng.integers(len(PER_LAST))])
-    elif kind == "LOC":
-        toks = [LOC_NAMES[rng.integers(len(LOC_NAMES))]]
-        if rng.random() < 0.3:
-            toks.append(LOC_SUFFIX[rng.integers(len(LOC_SUFFIX))])
-    elif kind == "ORG":
-        toks = [ORG_STEM[rng.integers(len(ORG_STEM))]]
-        if rng.random() < 0.7:
-            toks.append(ORG_SUFFIX[rng.integers(len(ORG_SUFFIX))])
-    elif kind == "MISC":
-        toks = [MISC_STEM[rng.integers(len(MISC_STEM))],
-                MISC_SUFFIX[rng.integers(len(MISC_SUFFIX))]]
-    else:
+    if kind not in ENTITY_PARTS:
         raise ValueError(f"unknown entity kind {kind!r}")
+    first, second, chance = ENTITY_PARTS[kind]
+    toks = [first[rng.integers(len(first))]]
+    if chance is None or rng.random() < chance:
+        toks.append(second[rng.integers(len(second))])
     tags = ["B-" + kind] + ["I-" + kind] * (len(toks) - 1)
     return toks, tags
 
@@ -105,22 +100,13 @@ def pairs_fixture(seed: int = 0, n_pairs: int = 200):
     so no two pairs are identical (a duplicate's key would sit in the
     negative queue as a false negative of its twin).
     """
-    anchors = ["Mercer"] + PER_FIRST[:3] + ORG_STEM[:3]
+    pools = {"{X}": ["Mercer"] + PER_FIRST[:3] + ORG_STEM[:3], "{LOC}": LOC_NAMES,
+             "{DAY}": DAYS, "{MISC}": MISC_STEM, "{SUF}": MISC_SUFFIX}
     combos = []
-    for fi, (frame_a, frame_b) in enumerate(PAIR_FRAMES):
+    for fi, (frame_a, _) in enumerate(PAIR_FRAMES):
         slots = sorted({item for item in frame_a if item.startswith("{")})
-        pools = {"{X}": anchors, "{LOC}": LOC_NAMES, "{DAY}": DAYS,
-                 "{MISC}": MISC_STEM, "{SUF}": MISC_SUFFIX}
-        def expand(filled, remaining):
-            if not remaining:
-                combos.append((fi, dict(filled)))
-                return
-            slot = remaining[0]
-            for value in pools[slot]:
-                filled[slot] = value
-                expand(filled, remaining[1:])
-            del filled[slot]
-        expand({}, slots)
+        combos += [(fi, dict(zip(slots, values)))
+                   for values in itertools.product(*(pools[slot] for slot in slots))]
     if n_pairs > len(combos):
         raise ValueError(f"at most {len(combos)} distinct pairs available")
     rng = np.random.default_rng(seed)

@@ -59,23 +59,26 @@ def bio_tag_list(types: Sequence[str]) -> list:
     return tags
 
 
+def param_shapes(d_in: int, hidden: int, n_tags: int) -> dict:
+    """The shape of every BiLSTM, emission and transition parameter, in store
+    order. Gate weights are row blocks [input, forget, cell, output], each
+    `hidden` rows tall."""
+    shapes = {}
+    for d in ("f", "b"):
+        shapes |= {f"lstm.{d}.w_x": (4 * hidden, d_in),
+                   f"lstm.{d}.w_h": (4 * hidden, hidden), f"lstm.{d}.b": (4 * hidden,)}
+    return shapes | {"emit.w": (2 * hidden, n_tags), "crf.trans": (n_tags + 2, n_tags + 2)}
+
+
 def init_tagger(store: ParamStore, d_in: int, hidden: int, n_tags: int,
                 rng: np.random.Generator):
-    """Add BiLSTM, emission, and transition weights to the store.
-
-    Gate weights are packed in row blocks [input, forget, cell, output],
-    each `hidden` rows tall.
-    """
+    """Add N(0, 1/sqrt(columns)) LSTM matrices, N(0, 1/sqrt(2*hidden))
+    emissions, N(0, 0.01) transitions and zero biases to the store."""
     if hidden < 1:
         raise ValueError(f"hidden size must be >= 1, got {hidden}")
-    for d in ("f", "b"):
-        store.add(f"lstm.{d}.w_x",
-                  rng.normal(0.0, 1.0 / np.sqrt(d_in), (4 * hidden, d_in)))
-        store.add(f"lstm.{d}.w_h",
-                  rng.normal(0.0, 1.0 / np.sqrt(hidden), (4 * hidden, hidden)))
-        store.add(f"lstm.{d}.b", np.zeros(4 * hidden))
-    store.add("emit.w", rng.normal(0.0, 1.0 / np.sqrt(2 * hidden), (2 * hidden, n_tags)))
-    store.add("crf.trans", rng.normal(0.0, 0.01, (n_tags + 2, n_tags + 2)))
+    for name, shape in param_shapes(d_in, hidden, n_tags).items():
+        scale = 0.01 if name == "crf.trans" else 1.0 / np.sqrt(shape[0 if name == "emit.w" else -1])
+        store.add(name, rng.normal(0.0, scale, shape) if len(shape) == 2 else np.zeros(shape))
 
 
 def bilstm_forward(store: ParamStore, inputs: ad.Tensor, lengths=None) -> ad.Tensor:

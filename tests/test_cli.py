@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contrastner import cli, encoder, kg, synth, tagger
+from contrastner import cli, contrast, encoder, kg, synth, tagger
 from contrastner.corpus import TaggedSentence, parse_conll, write_conll
 from contrastner.params import ParamStore, load_params, save_params
 
@@ -260,17 +260,59 @@ def training_input(tmp_path, command) -> list:
     return ["--pairs", str(write_pairs(tmp_path))]
 
 
-@pytest.mark.parametrize("flag, command, message", [
-    pytest.param(flag, command, "emb_dim and hidden must be >= 1", id=f"{flag}-{command}")
+@pytest.mark.parametrize("flag, command", [
+    pytest.param(flag, command, id=f"{flag}-{command}")
     for flag in ("--emb", "--enc-hidden") for command in ("train-ner", "train-wcl")
-] + [pytest.param("--hidden", "train-ner", "hidden size must be >= 1",
-                  id="--hidden-train-ner")])
-def test_zero_encoder_width_is_config_error(tmp_path, capsys, flag, command, message):
+] + [pytest.param("--hidden", "train-ner", id="--hidden-train-ner")])
+def test_zero_encoder_width_is_config_error(tmp_path, capsys, flag, command):
     data = training_input(tmp_path, command)
     out = tmp_path / "m.bin"
     assert cli.run([command, *data, "--out", str(out), "--epochs", "1",
                     "--emb", "4", "--enc-hidden", "4", flag, "0"]) == 1
-    assert f"error: config: {message}" in capsys.readouterr().err
+    assert f"error: argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, low", [
+    pytest.param(command, flag, value, low, id=f"{command}{flag}={value}")
+    for command, flag, value, low in [
+        ("train-ner", "--emb", "0", 1), ("train-ner", "--enc-hidden", "0", 1),
+        ("train-ner", "--hidden", "0", 1), ("train-ner", "--seed", "-1", 0),
+        ("train-wcl", "--emb", "0", 1), ("train-wcl", "--enc-hidden", "0", 1),
+        ("train-wcl", "--seed", "-1", 0), ("correct", "--l-max", "0", 1)]])
+def test_size_and_seed_flags_are_checked_before_input_is_read(tmp_path, capsys, command,
+                                                              flag, value, low):
+    missing = str(tmp_path / "missing")  # reading it would exit 2
+    data = {"train-ner": "--train", "train-wcl": "--pairs", "correct": "--pred"}[command]
+    out = tmp_path / "m.bin"
+    assert cli.run([command, data, missing, "--out", str(out), flag, value]) == 1
+    assert f"error: argument {flag}: must be >= {low}, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-ner", "train-wcl"])
+def test_type_that_makes_a_malformed_tag_is_config_error(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing")  # reading it would exit 2
+    data = "--train" if command == "train-ner" else "--pairs"
+    out = tmp_path / "m.bin"
+    assert cli.run([command, data, missing, "--out", str(out), "--types", "PER,A B"]) == 1
+    assert "error: config: --types: malformed tag 'B-A B'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 2.91 TiB for an array"),
+     "Unable to allocate 2.91 TiB for an array"),
+    (MemoryError(), "MemoryError")], ids=["numpy", "bare"])
+def test_memory_error_is_one_config_error_line(tmp_path, capsys, monkeypatch, error,
+                                               message):
+    def fail(rows, cols):
+        raise error
+    monkeypatch.setattr(contrast, "_page_aligned", fail)
+    out = tmp_path / "m.bin"
+    assert cli.run(["train-wcl", "--pairs", str(write_pairs(tmp_path)), "--queue", "8",
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config: {message}\n"
     assert not out.exists()
 
 
@@ -806,14 +848,14 @@ def test_correct_l_max_below_one_is_config_error(tmp_path, capsys):
         rc = cli.run(["correct", "--pred", str(pred_path), "--l-max", "0",
                       "--out", str(out)] + extra)
         assert rc == 1
-        assert "--l-max must be >= 1, got 0" in capsys.readouterr().err
+        assert "argument --l-max: must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
-    # a malformed corpus is still reported first
+    # the flag is checked before the corpus is read, so it wins over a malformed one
     bad = tmp_path / "bad.conll"
     bad.write_text("said XYZ\n")
     assert cli.run(["correct", "--pred", str(bad), "--l-max", "0",
-                    "--out", str(out)]) == 2
-    assert "malformed tag" in capsys.readouterr().err
+                    "--out", str(out)]) == 1
+    assert "argument --l-max: must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults_flags_win(tmp_path, capsys):
