@@ -72,8 +72,7 @@ def param_shapes(vocab_size: int, emb_dim: int, hidden: int, prefix: str = "enc.
 
 def init_encoder(store: ParamStore, prefix: str, vocab_size: int,
                  emb_dim: int, hidden: int, rng: np.random.Generator):
-    """Add N(0, 0.5) embeddings, N(0, 1/sqrt(columns)) recurrent matrices
-    and zero biases under a prefix."""
+    """Add N(0, 0.5) embeddings, N(0, 1/sqrt(columns)) matrices and zero biases."""
     if emb_dim < 1 or hidden < 1:
         raise ValueError(f"emb_dim and hidden must be >= 1, got {emb_dim} and {hidden}")
     for name, shape in param_shapes(vocab_size, emb_dim, hidden, prefix).items():

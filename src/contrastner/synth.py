@@ -25,9 +25,9 @@ ORG_SUFFIX = ["Labs", "Group", "Industries", "Holdings"]
 MISC_STEM = ["Zephyr", "Solstice", "Meridian", "Harvest"]
 MISC_SUFFIX = ["Accord", "Treaty", "Festival", "Cup"]
 # entity kind -> (first tokens, second tokens, chance of a second token);
-# MISC always takes one and draws no chance
-ENTITY_PARTS = {"PER": (PER_FIRST, PER_LAST, 0.5), "LOC": (LOC_NAMES, LOC_SUFFIX, 0.3),
-                "ORG": (ORG_STEM, ORG_SUFFIX, 0.7), "MISC": (MISC_STEM, MISC_SUFFIX, None)}
+# MISC always takes a second token and draws no chance: a draw would shift the stream
+_ENTITY_PARTS = {"PER": (PER_FIRST, PER_LAST, 0.5), "LOC": (LOC_NAMES, LOC_SUFFIX, 0.3),
+                 "ORG": (ORG_STEM, ORG_SUFFIX, 0.7), "MISC": (MISC_STEM, MISC_SUFFIX, None)}
 
 # slot grammar: plain strings are literal tokens
 NER_TEMPLATES = [
@@ -45,9 +45,9 @@ NER_TEMPLATES = [
 
 
 def _draw_entity(kind: str, rng: np.random.Generator):
-    if kind not in ENTITY_PARTS:
+    if kind not in _ENTITY_PARTS:
         raise ValueError(f"unknown entity kind {kind!r}")
-    first, second, chance = ENTITY_PARTS[kind]
+    first, second, chance = _ENTITY_PARTS[kind]
     toks = [first[rng.integers(len(first))]]
     if chance is None or rng.random() < chance:
         toks.append(second[rng.integers(len(second))])

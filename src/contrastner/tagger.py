@@ -77,7 +77,8 @@ def init_tagger(store: ParamStore, d_in: int, hidden: int, n_tags: int,
     if hidden < 1:
         raise ValueError(f"hidden size must be >= 1, got {hidden}")
     for name, shape in param_shapes(d_in, hidden, n_tags).items():
-        scale = 0.01 if name == "crf.trans" else 1.0 / np.sqrt(shape[0 if name == "emit.w" else -1])
+        fan = 2 * hidden if name == "emit.w" else shape[-1]
+        scale = 0.01 if name == "crf.trans" else 1.0 / np.sqrt(fan)
         store.add(name, rng.normal(0.0, scale, shape) if len(shape) == 2 else np.zeros(shape))
 
 
