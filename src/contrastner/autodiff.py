@@ -22,12 +22,12 @@ _GRAD_ENABLED = True
 class Tensor:
     """A value and, after backward, its gradient.
 
-    grad is None until a backward reaches the tensor. clear_grad (which
-    sgd_step calls) empties it but keeps its array, and the next backward
-    writes into that array again: each training step reuses a parameter's
-    grad array, and a reference to an old grad sees it overwritten.
+    grad is None until a backward reaches the tensor. sgd_step zeroes it in
+    place and the next backward adds into that array again: each training
+    step reuses a parameter's grad array, and a reference to an old grad
+    sees it zeroed and refilled.
     """
-    __slots__ = ("values", "grad", "requires_grad", "_spare")
+    __slots__ = ("values", "grad", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
@@ -35,11 +35,6 @@ class Tensor:
             raise ValueError(f"tensors are at most 2-d, got shape {self.values.shape}")
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._spare = None
-
-    def clear_grad(self):
-        """grad becomes None; its array is kept for the next backward."""
-        self._spare, self.grad = self.grad, None
 
     @property
     def shape(self):
@@ -87,18 +82,12 @@ def _record(out: Tensor, inputs: Sequence[Tensor], bwd) -> Tensor:
     return out
 
 
-def _empty_grad(t: Tensor) -> np.ndarray:
-    """An array for t.grad to start in: the one clear_grad kept, if any."""
-    buf, t._spare = t._spare, None
-    return np.empty_like(t.values) if buf is None else buf
-
-
 def _accum(t: Tensor, g):
     if not t.requires_grad:
         return
     if t.grad is None:
         # 0.0 + g, not a copy of g: a -0.0 entry becomes +0.0
-        t.grad = np.add(g, 0.0, out=_empty_grad(t))
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.values))
     else:
         t.grad += g
 
@@ -106,7 +95,7 @@ def _accum(t: Tensor, g):
 def backward(loss: Tensor):
     """Seed d(loss)/d(loss)=1, replay the tape in reverse, clear the tape.
 
-    Tensors not reachable from loss keep grad=None.
+    Tensors not reachable from loss keep their grad (None if never reached).
     """
     if loss.values.ndim != 0:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.values.shape}")
@@ -240,8 +229,7 @@ def index(t: Tensor, ids: np.ndarray) -> Tensor:
     def bwd(g):
         if t.requires_grad:
             if t.grad is None:
-                t.grad = _empty_grad(t)
-                t.grad.fill(0.0)
+                t.grad = np.zeros_like(t.values)
             np.add.at(t.grad, ids, g)
     return _record(out, (t,), bwd)
 

@@ -369,6 +369,8 @@ def _cmd_predict(ns) -> int:
 
 
 def _cmd_correct(ns) -> int:
+    if ns.kg_endpoint and not ns.kg_cache:
+        raise ConfigError("--kg-endpoint needs --kg-cache")
     pred = corpus.parse_conll(ns.pred, strict=True)
     sources = []
     typemap = kg.TypeMap.load(ns.typemap) if ns.typemap else kg.TypeMap.default_conll()
@@ -377,8 +379,6 @@ def _cmd_correct(ns) -> int:
         snapshot = kg.load_snapshot(ns.kg, typemap)
         sources.append(snapshot)
     if ns.kg_endpoint:
-        if not ns.kg_cache:
-            raise ConfigError("--kg-endpoint needs --kg-cache")
         remote = kg.RemoteLookup(ns.kg_endpoint, ns.kg_cache, typemap)
         sources.append(remote)
     started = time.perf_counter()

@@ -71,24 +71,46 @@ class TypeMap:
         return self.mapping.get(tail)
 
 
-class KgIndex:
-    """In-memory surface-form index over a knowledge-graph snapshot."""
+class PotentialEntitySet:
+    """Surfaces the knowledge graph recognizes, with their entity types."""
 
     def __init__(self):
-        self._index: dict = {}   # surface -> list of dataset types
-        self.dropped = 0
-        self.skipped_lines = 0
+        self._types: dict = {}   # surface -> list of dataset types
 
-    def add(self, surface: str, dataset_type: str):
-        types = self._index.setdefault(surface, [])
-        if dataset_type not in types:
-            types.append(dataset_type)
+    def add(self, surface: str, types: Iterable[str]):
+        if isinstance(types, str):
+            raise TypeError(f"types of {surface!r} must be a collection of types, not a str")
+        have = self._types.setdefault(surface, [])
+        for t in types:
+            if t not in have:
+                have.append(t)
 
-    def lookup(self, surface: str) -> tuple:
-        return tuple(self._index.get(surface, ()))
+    def __contains__(self, surface: str) -> bool:
+        return surface in self._types
 
     def __len__(self):
-        return len(self._index)
+        return len(self._types)
+
+    def surfaces(self) -> list:
+        return list(self._types)
+
+    def types(self, surface: str) -> tuple:
+        return tuple(self._types.get(surface, ()))
+
+    def primary(self, surface: str) -> str:
+        """The resolved type: the first one recorded for the surface."""
+        return self._types[surface][0]
+
+    def items(self):
+        return ((s, tuple(ts)) for s, ts in self._types.items())
+
+
+class KgIndex(PotentialEntitySet):
+    """In-memory surface-form index over a knowledge-graph snapshot."""
+
+    dropped = 0         # entries whose type the TypeMap does not map
+    skipped_lines = 0   # malformed snapshot lines
+    lookup = PotentialEntitySet.types
 
 
 def load_snapshot(path, typemap: Optional[TypeMap] = None) -> KgIndex:
@@ -114,7 +136,7 @@ def load_snapshot(path, typemap: Optional[TypeMap] = None) -> KgIndex:
             if mapped is None:
                 index.dropped += 1
                 continue
-            index.add(surface, mapped)
+            index.add(surface, (mapped,))
     return index
 
 
@@ -203,38 +225,6 @@ def enumerate_subphrases(phrase) -> list:
         for start in range(len(tokens) - length + 1):
             out.append(" ".join(tokens[start:start + length]))
     return out
-
-
-class PotentialEntitySet:
-    """Surfaces the knowledge graph recognizes, with their entity types."""
-
-    def __init__(self):
-        self._types: dict = {}   # surface -> list of dataset types
-
-    def add(self, surface: str, types: Iterable[str]):
-        have = self._types.setdefault(surface, [])
-        for t in types:
-            if t not in have:
-                have.append(t)
-
-    def __contains__(self, surface: str) -> bool:
-        return surface in self._types
-
-    def __len__(self):
-        return len(self._types)
-
-    def surfaces(self) -> list:
-        return list(self._types)
-
-    def types(self, surface: str) -> tuple:
-        return tuple(self._types.get(surface, ()))
-
-    def primary(self, surface: str) -> str:
-        """The resolved type: the first one recorded for the surface."""
-        return self._types[surface][0]
-
-    def items(self):
-        return ((s, tuple(ts)) for s, ts in self._types.items())
 
 
 def build_pe(sentences: Sequence, kg, l_max: int = DEFAULT_L_MAX) -> PotentialEntitySet:

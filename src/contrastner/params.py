@@ -70,8 +70,8 @@ def sgd_step(store: ParamStore, lr: float):
     """One descent step p -= lr * grad over every parameter with a grad.
 
     Rejects the whole step if any present gradient is non-finite, naming
-    the parameter. All grads are cleared afterwards (Tensor.clear_grad), so
-    the next backward writes into the same arrays.
+    the parameter. Each grad stepped is zeroed in place afterwards, so the
+    next backward adds into the same array.
     """
     lr = float(lr)
     if not 0 <= lr < math.inf:
@@ -81,9 +81,9 @@ def sgd_step(store: ParamStore, lr: float):
             raise ValueError(f"non-finite gradient in parameter {name}")
     for _, t in store.items():
         if t.grad is not None:
-            np.multiply(t.grad, lr, out=t.grad)   # the grad is cleared below
+            np.multiply(t.grad, lr, out=t.grad)   # the grad is zeroed below
             t.values -= t.grad
-            t.clear_grad()
+            t.grad.fill(0.0)
 
 
 def save_params(store: ParamStore, path):

@@ -294,7 +294,8 @@ def test_sgd_step_hands_the_grad_array_to_the_next_backward():
     gw, ge = step()
     fresh = gw.copy(), ge.copy()
     sgd_step(store, 0.0)
-    assert w.grad is None and e.grad is None
+    assert w.grad is gw and e.grad is ge         # kept, zeroed in place
+    assert _bits(gw) == _bits(np.zeros((2, 2))) and _bits(ge) == _bits(np.zeros((3, 2)))
     again = step()
     assert again[0] is gw and again[1] is ge     # the same arrays, refilled
     assert _bits(again[0]) == _bits(fresh[0]) and _bits(again[1]) == _bits(fresh[1])

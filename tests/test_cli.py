@@ -1,4 +1,6 @@
 """CLI subcommands: wiring, config files, exit codes, manifests."""
+import contextlib
+import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -287,6 +289,20 @@ def test_size_and_seed_flags_are_checked_before_input_is_read(tmp_path, capsys, 
     out = tmp_path / "m.bin"
     assert cli.run([command, data, missing, "--out", str(out), flag, value]) == 1
     assert f"error: argument {flag}: must be >= {low}, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("typemap", [None, "Person\n"], ids=["default", "malformed-typemap"])
+def test_kg_endpoint_without_cache_is_checked_before_input_is_read(tmp_path, capsys, typemap):
+    missing = str(tmp_path / "missing")  # reading it would exit 2
+    out = tmp_path / "o.conll"
+    argv = ["correct", "--pred", missing, "--kg-endpoint", "http://kg.invalid/{q}",
+            "--out", str(out)]
+    if typemap is not None:
+        (tmp_path / "types.tsv").write_text(typemap)
+        argv += ["--typemap", str(tmp_path / "types.tsv")]
+    assert cli.run(argv) == 1
+    assert "error: config: --kg-endpoint needs --kg-cache" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -815,6 +831,38 @@ def test_mutated_lookup_cache_exits_0_or_2_in_correct(fuzz_corpus, blob):
         assert cli.run(["correct", "--pred", str(root / "gold.conll"),
                         "--kg-endpoint", "http://kg.test/{q}", "--kg-cache",
                         str(root / "cache.tsv"), "--out", str(root / "out.conll")]) in (0, 2)
+
+
+CONFIG_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\n\r/\\"), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(line=st.integers(0, 3), part=st.sampled_from(["key", "value"]), text=CONFIG_TEXT)
+@example(line=3, part="key", text="kg-endpoint")
+@example(line=1, part="key", text="kg-cache")
+def test_mutated_config_file_exits_0_1_or_2_in_correct(fuzz_corpus, tmp_path_factory, line,
+                                                       part, text):
+    """One key or value of a valid correct config replaced with drawn text.
+    The text holds no path separator, so a drawn --out lands in the run's
+    own directory, and no line break, so one mutation adds one flag: never
+    --kg-endpoint and --kg-cache both, so no lookup reaches the network."""
+    root, _ = fuzz_corpus
+    lines = [["pred", str(root / "gold.conll")], ["kg", str(root / "kg.tsv")],
+             ["out", "out.conll"], ["l-max", "3"]]
+    lines[line][part == "value"] = text
+    run_dir = tmp_path_factory.mktemp("config")
+    (run_dir / "correct.cfg").write_text("".join(f"{k}={v}\n" for k, v in lines),
+                                         encoding="utf-8")
+
+    def no_fetch(url, timeout):
+        pytest.fail(f"network lookup of {url}")
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(kg, "_default_fetch", no_fetch)
+        mp.chdir(run_dir)
+        assert cli.run(["correct", "--config", "correct.cfg"]) in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_typemap_type_with_whitespace_is_data_error_before_any_work(tmp_path, capsys):

@@ -89,6 +89,24 @@ def test_index_build_is_stable(tmp_path):
         assert a.lookup(key) == b.lookup(key)
 
 
+def test_snapshot_index_is_a_potential_entity_set(tmp_path):
+    index = kg.load_snapshot(snapshot(tmp_path, [
+        "Jordan\tPerson", "Jordan\tPlace", "Paris\tPlace", "Tuesday\tDay"]))
+    assert isinstance(index, kg.PotentialEntitySet)
+    for key in ("Jordan", "Paris", "Tuesday", "missing"):
+        assert index.lookup(key) == index.types(key)
+    assert list(index.items()) == [("Jordan", ("PER", "LOC")), ("Paris", ("LOC",))]
+    assert index.dropped == 1 and kg.KgIndex().dropped == 0   # counted per index
+
+
+@pytest.mark.parametrize("table", [kg.KgIndex, kg.PotentialEntitySet])
+def test_add_rejects_a_bare_type_string(table):
+    entities = table()
+    with pytest.raises(TypeError, match="not a str"):
+        entities.add("Acme", "ORG")   # would add the types O, R and G
+    assert len(entities) == 0
+
+
 def test_is_acronym():
     assert kg.is_acronym("TEC")
     assert kg.is_acronym("AB")
@@ -366,7 +384,7 @@ class RecordingLookup:
 def test_build_pe_and_modify_entities_match_reference(sentences, entries, l_max):
     index = kg.KgIndex()
     for surface, type_ in entries:
-        index.add(surface, type_)
+        index.add(surface, [type_])
     pred = [TaggedSentence([t for t, _ in s], [g for _, g in s]) for s in sentences]
     fast, ref = RecordingLookup(index), RecordingLookup(index)
     pe = kg.build_pe(pred, fast, l_max)
@@ -424,12 +442,12 @@ def test_build_pe_and_modify_entities_match_reference_on_fixture_corpus():
     for i, sent in enumerate(train[::9]):
         for span in sorted(bio_to_spans(sent.tags)):
             surface = " ".join(sent.tokens[span.start:span.end + 1])
-            index.add(surface, span.type_ if i % 2 else TYPES[len(surface) % 4])
+            index.add(surface, [span.type_ if i % 2 else TYPES[len(surface) % 4]])
     # predictions lose every entity in a few sentences
     pred = [TaggedSentence(s.tokens, ["O"] * len(s)) if i % 13 == 0 else s
             for i, s in enumerate(train)]
     for k, name in enumerate(names):
-        index.add(" ".join(name), "ORG")
+        index.add(" ".join(name), ["ORG"])
         acronym = "".join(w[0] for w in name)
         pred.insert(90 * k + 40, TaggedSentence(
             [acronym, "approved", "the", "budget", "."], ["O"] * 5))

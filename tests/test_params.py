@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from contrastner import autodiff as ad
+from contrastner import contrast as ct
+from contrastner import encoder as enc
+from contrastner import synth
+from contrastner import tagger as tg
 from contrastner.params import MAGIC, ParamStore, load_params, save_params, sgd_step
 import helpers
 
@@ -12,10 +16,10 @@ import helpers
 def test_sgd_basic_step():
     store = ParamStore()
     p = store.add("p", [1.0])
-    p.grad = np.array([0.5])
+    grad = p.grad = np.array([0.5])
     sgd_step(store, 0.1)
     assert np.allclose(p.values, [0.95])
-    assert p.grad is None
+    assert p.grad is grad and grad.tolist() == [0.0]   # zeroed in place for the next backward
 
 
 def test_sgd_lr_zero_is_identity():
@@ -74,6 +78,60 @@ def test_quadratic_convergence():
         ad.backward(loss)
         sgd_step(store, 0.1)
     assert abs(float(p.values) - 3.0) < 1e-6
+
+
+def _lifecycle_setup(trainer):
+    """A tiny model and a closure that trains it with trainer, both seeded."""
+    rng = np.random.default_rng(4)
+    store = ParamStore()
+    if trainer == "train_ner":
+        train, _ = synth.ner_fixture(seed=1, n_train=5, n_test=0)
+        vocab = enc.Vocab.from_sentences(s.tokens for s in train)
+        tags = tg.bio_tag_list(["PER", "LOC", "ORG", "MISC"])
+        enc.init_encoder(store, "enc.", len(vocab), emb_dim=4, hidden=3, rng=rng)
+        tg.init_tagger(store, enc.output_dim(store), 3, len(tags), rng)
+        return store, lambda: tg.train_ner(train, vocab, store, tags,
+                                           tg.NerConfig(epochs=2, lr=0.1, seed=2))
+    pairs = synth.pairs_fixture(seed=1, n_pairs=4)
+    vocab = enc.Vocab.from_sentences(t for p in pairs for t in (p.sentence, p.positive))
+    enc.init_encoder(store, "enc.", len(vocab), emb_dim=4, hidden=3, rng=rng)
+    ct.init_head(store, enc.output_dim(store), 3, rng)
+    key = enc.init_key_from_query(store)
+    config = ct.WclConfig(epochs=2, queue_size=3, lr=0.1, momentum=0.5, seed=2)
+    return store, lambda: ct.train_wcl(pairs, vocab, store, key, config)
+
+
+@pytest.mark.parametrize("trainer", ["train_ner", "train_wcl"])
+def test_in_place_grads_match_fresh_grads_bit_for_bit(trainer):
+    """sgd_step zeroes each grad in place and the next backward adds into
+    it; a reference run that drops every grad before each backward, so that
+    each step starts from fresh arrays, must end on the same bits."""
+    module = tg if trainer == "train_ner" else ct
+    store, train = _lifecycle_setup(trainer)
+    ref_store, ref_train = _lifecycle_setup(trainer)
+    step, backward, held, steps = module.sgd_step, ad.backward, {}, []
+
+    def checked_step(s, lr):
+        step(s, lr)
+        steps.append(lr)
+        for name, t in s.items():
+            assert held.setdefault(name, t.grad) is t.grad, name   # one array per parameter
+            assert t.grad.tobytes() == np.zeros_like(t.values).tobytes(), name
+
+    def fresh_backward(loss):
+        for t in ref_store.tensors():
+            t.grad = None
+        backward(loss)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "sgd_step", checked_step)
+        train()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "backward", fresh_backward)
+        ref_train()
+    assert len(steps) > 2 and len(held) == len(store)
+    for name, t in store.items():
+        assert t.values.tobytes() == ref_store[name].values.tobytes(), name
 
 
 def test_duplicate_name_rejected():
